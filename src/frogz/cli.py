@@ -27,7 +27,7 @@ from .exact import (
     ENUMERATION_MAX_STEPS, WalkLaw, b, bound_check, brute_force_reach,
     build_reach_table, reach_prob,
 )
-from .mc import SimConfig, estimate_activation_profile, estimate_survival
+from .mc import ActivationProfile, SimConfig, activation_profile, estimate_survival
 from .sequences import INF, L0_L1, SequenceSpec, m_of
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _append_record(store: str | None, subcommand: str, config: dict,
-                   result, seed) -> None:
+                   result, seed, work: dict | None = None) -> None:
     if not store:
         return
     record = {
@@ -70,6 +70,8 @@ def _append_record(store: str | None, subcommand: str, config: dict,
         "version": __version__,
         "seed": seed,
     }
+    if work is not None:
+        record["work"] = work
     with open(store, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -104,11 +106,24 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _write_profile(profile: ActivationProfile, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["site", "p_hat_Ei", "ci_half", "lower_bound_curve"])
+        for i in range(len(profile.sites)):
+            lb = profile.lower_curve[i]
+            writer.writerow([
+                int(profile.sites[i]), repr(float(profile.p_hat[i])),
+                repr(float(profile.ci_half[i])),
+                "" if math.isnan(lb) else repr(float(lb)),
+            ])
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     params = _params_from_config(config.get("params", config))
-    horizon = args.horizon or int(config.get("horizon", 0))
-    trials = args.trials or int(config.get("trials", 0))
+    horizon = args.horizon if args.horizon is not None else int(config.get("horizon", 0))
+    trials = args.trials if args.trials is not None else int(config.get("trials", 0))
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     cfg = SimConfig(
         params=params, horizon=horizon, trials=trials, seed=seed,
@@ -117,19 +132,9 @@ def cmd_simulate(args) -> int:
     result = estimate_survival(cfg, threads=args.threads)
     _write_out(result.to_jsonl(), args.out)
     if args.profile:
-        profile = estimate_activation_profile(cfg, threads=args.threads)
-        with open(args.profile, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["site", "p_hat_Ei", "ci_half", "lower_bound_curve"])
-            for i in range(len(profile.sites)):
-                lb = profile.lower_curve[i]
-                writer.writerow([
-                    int(profile.sites[i]), repr(float(profile.p_hat[i])),
-                    repr(float(profile.ci_half[i])),
-                    "" if math.isnan(lb) else repr(float(lb)),
-                ])
+        _write_profile(activation_profile(result), args.profile)
     _append_record(args.store, "simulate", cfg.to_dict(),
-                   result.aggregate_dict()["result"], seed)
+                   result.aggregate_dict()["result"], seed, work=result.work)
     return EXIT_OK
 
 

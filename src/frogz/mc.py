@@ -11,6 +11,15 @@ interval [i + min cum, i + max cum], and the activated set is always the
 interval [1, h] for some frontier h.  A trial therefore reduces to a prefix-
 maximum scan over per-site rightmost reaches: the frontier is the first site
 h with max_{i <= h} (i + reach_i) == h.
+
+The scan walks the S = M + L tracked sites in blocks of 64, carrying each
+trial's running prefix maximum from one block to the next, and drops a trial
+in the block where its frontier is found.  Because every draw is a pure hash,
+this early exit returns exactly the frontiers of a full scan, and memory is
+bounded by trials per chunk * 64 * N * L whatever the horizon.  A step goes
+left when (hash >> 11) < ceil(q * 2**53), which is exactly the float test
+(hash >> 11) * 2**-53 < q.  `simulate --profile` derives the activation
+profile from the same run (activation_profile), so one command is one MC pass.
 """
 
 from __future__ import annotations
@@ -29,19 +38,26 @@ from .errors import OutOfRangeError, ResourceLimitError
 from .sequences import SequenceSpec
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # trials * (M+L) * N * L
-_CHUNK_ELEMENTS = 8_000_000
+_BLOCK = 64                   # sites per scan block
+_CHUNK_ELEMENTS = 8_000_000   # trials * block * N * L hashed at once per range
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _K3 = np.uint64(0x165667B19E3779F9)
 _K4 = np.uint64(0xD6E8FEB86659FD93)
+_SHIFT = np.uint64(11)  # a hash's top 53 bits make its uniform
 
 
 def _mix(z):
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, elementwise on a uint64 array; overwrites and returns z."""
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,8 @@ class SimConfig:
             raise OutOfRangeError(f"need trials >= 1, got {self.trials}")
         if not (0 < self.ci_level < 1):
             raise OutOfRangeError(f"ci_level must be in (0,1), got {self.ci_level}")
+        if not (0 <= self.seed < 2 ** 64):
+            raise OutOfRangeError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +101,7 @@ class SimResult:
     ci_low: float
     ci_high: float
     site_counts: np.ndarray      # activation counts for sites 1..M
+    work: dict                   # hashed elements: "budgeted" and "evaluated"
 
     def aggregate_dict(self) -> dict:
         return {
@@ -123,36 +142,64 @@ def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _frontiers(q: np.ndarray, N: int, L: int, seed: int,
+def _left_thresholds(q: np.ndarray) -> np.ndarray:
+    """Integer thresholds T with (h >> 11) < T exactly when (h >> 11) * 2**-53 < q.
+
+    q * 2**53 is exact in float64, and an integer k is below a real x iff it is
+    below ceil(x).  Clipping q to [0, 1] keeps T in [0, 2**53] without changing
+    any comparison, since (h >> 11) * 2**-53 always lies in [0, 1).
+    """
+    return np.ceil(np.clip(q, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
+
+
+def _frontiers(thresholds: np.ndarray, N: int, L: int, seed: int,
                trial_lo: int, trial_hi: int) -> np.ndarray:
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
-    q[i-1] is the left-step probability of site i; S = len(q) sites are tracked.
+    thresholds[i-1] is the left-step threshold of site i (see _left_thresholds);
+    S = len(thresholds) sites are tracked.  Sites are scanned in blocks of
+    _BLOCK, carrying each trial's running prefix maximum from block to block;
+    a trial leaves the scan in the block where its frontier is found.
     """
-    S = len(q)
+    S = len(thresholds)
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    sites = np.arange(1, S + 1, dtype=np.uint64)
+    h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
     particles = np.arange(N, dtype=np.uint64)
     steps = np.arange(L, dtype=np.uint64)
+    pt = (steps * _K4)[:, None] ^ (particles * _K3)[None, :]         # (L,N)
 
-    h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
-    h2 = _mix(h1[:, None] ^ (sites * _K2)[None, :])                  # (B,S)
-    pt = (particles * _K3)[:, None] ^ (steps * _K4)[None, :]         # (N,L)
-    h3 = _mix(h2[:, :, None, None] ^ pt[None, None, :, :])           # (B,S,N,L)
-    u = (h3 >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    frontier = np.empty(len(trials), dtype=np.int64)
+    live = np.arange(len(trials))       # positions in `frontier` still scanning
+    carry = np.zeros(len(trials), dtype=np.int64)  # prefix max up to the block
+    for lo in range(0, S, _BLOCK):
+        idx = np.arange(lo + 1, min(lo + _BLOCK, S) + 1, dtype=np.int64)
+        h2 = _mix(h1[:, None] ^ (idx.astype(np.uint64) * _K2)[None, :])   # (B,b)
+        # steps lead so the walk below runs over whole contiguous slabs
+        h3 = _mix(pt[:, :, None, None] ^ h2[None, None, :, :])            # (L,N,B,b)
+        left = np.right_shift(h3, _SHIFT, out=h3) < thresholds[lo:lo + len(idx)]
+        del h3
+        # position after t+1 steps is t+1 - 2 * (left steps so far); the
+        # origin itself counts as visited, so reach is never below 0
+        lefts = np.zeros(left.shape[1:], dtype=np.int32)
+        reach = np.zeros_like(lefts)
+        for t in range(L):
+            lefts += left[t]
+            np.maximum(reach, t + 1 - 2 * lefts, out=reach)
+        reach = reach.max(axis=0)                                    # (B,b)
 
-    moves = np.where(u < q[None, :, None, None], -1, 1).astype(np.int32)
-    cum = np.cumsum(moves, axis=3)
-    # rightmost reach of any of the N walks from each site (never below 0:
-    # the origin itself counts as visited)
-    reach = np.maximum(cum.max(axis=3).max(axis=2), 0)               # (B,S)
-
-    idx = np.arange(1, S + 1, dtype=np.int64)
-    far = np.minimum(idx[None, :] + reach, S)
-    prefix = np.maximum.accumulate(far, axis=1)
-    stuck = prefix == idx[None, :]
-    # the last tracked site is always "stuck" after clipping, so argmax is safe
-    return 1 + np.argmax(stuck, axis=1)
+        far = np.minimum(idx[None, :] + reach, S)
+        far[:, 0] = np.maximum(far[:, 0], carry)
+        prefix = np.maximum.accumulate(far, axis=1)
+        stuck = prefix == idx[None, :]
+        # the last tracked site is always "stuck" after clipping, so every
+        # trial leaves by the last block
+        done = stuck.any(axis=1)
+        frontier[live[done]] = lo + 1 + np.argmax(stuck[done], axis=1)
+        keep = ~done
+        live, h1, carry = live[keep], h1[keep], prefix[keep, -1]
+        if not len(live):
+            break
+    return frontier
 
 
 def _check_budget(cfg: SimConfig, budget: int) -> int:
@@ -170,15 +217,17 @@ def run_trials(cfg: SimConfig, threads: int = 1,
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg, budget)
     N, L = cfg.params.N, cfg.params.L
-    q = cfg.params.spec.values(1, S + 1)
-    per_trial = S * N * L
-    chunk = max(1, min(_CHUNK_ELEMENTS // per_trial, cfg.trials))
+    thresholds = _left_thresholds(cfg.params.spec.values(1, S + 1))
+    per_trial = min(_BLOCK, S) * N * L
+    # at least one range per thread, each within the chunk memory bound
+    chunk = max(1, min(_CHUNK_ELEMENTS // per_trial, -(-cfg.trials // max(threads, 1))))
     ranges = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _frontiers(q, N, L, cfg.seed, *r), ranges))
+            parts = list(pool.map(
+                lambda r: _frontiers(thresholds, N, L, cfg.seed, *r), ranges))
     else:
-        parts = [_frontiers(q, N, L, cfg.seed, *r) for r in ranges]
+        parts = [_frontiers(thresholds, N, L, cfg.seed, *r) for r in ranges]
     return np.concatenate(parts)
 
 
@@ -186,8 +235,8 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     """One trial: (max activated site capped at M, the activated site set)."""
     if M <= params.L:
         raise OutOfRangeError(f"horizon must exceed L, got {M}")
-    q = params.spec.values(1, M + params.L + 1)
-    h = int(_frontiers(q, params.N, params.L, seed, trial, trial + 1)[0])
+    thresholds = _left_thresholds(params.spec.values(1, M + params.L + 1))
+    h = int(_frontiers(thresholds, params.N, params.L, seed, trial, trial + 1)[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 
@@ -201,6 +250,10 @@ def estimate_survival(cfg: SimConfig, threads: int = 1,
     hist = np.bincount(np.minimum(frontiers, M), minlength=M + 1)
     # E_i holds iff the frontier reached at least i
     site_counts = np.cumsum(hist[::-1])[::-1][1:]
+    N, L = cfg.params.N, cfg.params.L
+    S = M + L
+    # a trial is scanned up to the end of the block holding its frontier
+    scanned = np.minimum(-(-frontiers // _BLOCK) * _BLOCK, S)
     return SimResult(
         config=cfg,
         max_sites=np.minimum(frontiers, M),
@@ -209,17 +262,18 @@ def estimate_survival(cfg: SimConfig, threads: int = 1,
         ci_low=lo,
         ci_high=hi,
         site_counts=site_counts,
+        work={"budgeted": cfg.trials * S * N * L,
+              "evaluated": int(scanned.sum()) * N * L},
     )
 
 
-def estimate_activation_profile(cfg: SimConfig, threads: int = 1,
-                                budget: int = DEFAULT_WORK_BUDGET) -> ActivationProfile:
-    """Empirical P(E_i) per site, with the telescoping lower-bound curve.
+def activation_profile(result: SimResult) -> ActivationProfile:
+    """Empirical P(E_i) per site of a finished run, with the telescoping lower-bound curve.
 
     The curve anchors at the empirical P(E_{L+1}) and multiplies the exact
     block factors (1 - a_k): site n+L+1 gets P(E_{L+1}) * prod_{k=1..n}(1-a_k).
     """
-    result = estimate_survival(cfg, threads=threads, budget=budget)
+    cfg = result.config
     M, L = cfg.horizon, cfg.params.L
     n_trials = cfg.trials
     p = result.site_counts / n_trials
@@ -241,3 +295,9 @@ def estimate_activation_profile(cfg: SimConfig, threads: int = 1,
         config=cfg, sites=np.arange(1, M + 1), p_hat=p, ci_half=half,
         lower_curve=curve,
     )
+
+
+def estimate_activation_profile(cfg: SimConfig, threads: int = 1,
+                                budget: int = DEFAULT_WORK_BUDGET) -> ActivationProfile:
+    """Run the MC for `cfg` and return its activation profile."""
+    return activation_profile(estimate_survival(cfg, threads=threads, budget=budget))

@@ -125,6 +125,45 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(b), "--threads", "3"]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, config_file, seed):
+        cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC,
+                           "horizon": 20, "trials": 50})
+        rc = main(["simulate", "--config", cfg, "--out", "/dev/null", "--seed", seed])
+        assert rc == EXIT_INVALID_SPEC
+
+    @pytest.mark.parametrize("flag", ["--trials", "--horizon"])
+    def test_explicit_zero_is_rejected(self, config_file, flag):
+        cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC,
+                           "horizon": 20, "trials": 50, "seed": 9})
+        rc = main(["simulate", "--config", cfg, "--out", "/dev/null", flag, "0"])
+        assert rc == EXIT_INVALID_SPEC
+
+    def test_profile_is_one_mc_pass(self, config_file, tmp_path, monkeypatch):
+        import frogz.cli as cli_mod
+        import frogz.mc as mc_mod
+        payload = {"N": 2, "L": 2, "spec": MOD2_SPEC, "horizon": 40, "trials": 300, "seed": 3}
+        cfg = config_file(payload)
+        calls = []
+        run_trials = mc_mod.run_trials
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(mc_mod, "run_trials", counting)
+        prof = tmp_path / "profile.csv"
+        rc = main(["simulate", "--config", cfg, "--out", "/dev/null",
+                   "--threads", "2", "--profile", str(prof)])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+        sim = mc_mod.SimConfig(
+            params=cli_mod._params_from_config(payload),
+            horizon=40, trials=300, seed=3)
+        ref = tmp_path / "reference.csv"
+        cli_mod._write_profile(mc_mod.estimate_activation_profile(sim), str(ref))
+        assert prof.read_bytes() == ref.read_bytes()
+
     def test_profile_csv(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 1, "spec": {
             "modulus": 1,
@@ -200,6 +239,30 @@ class TestStore:
         assert rec["subcommand"] == "classify"
         assert rec["result"]["outcome"] == "DiesAS"
         assert "timestamp" in rec and "version" in rec
+
+    def test_simulate_records_work(self, config_file, tmp_path):
+        # q = 0.95 everywhere: every frontier dies inside the first 64-site block
+        dying = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.95}}]}
+        cases = {"dying": ({"N": 1, "L": 2, "spec": dying}, 300, 500),
+                 "mod2": ({"N": 2, "L": 2, "spec": MOD2_SPEC}, 150, 400)}
+        works = {}
+        for name, (payload, horizon, trials) in cases.items():
+            cfg = config_file(dict(payload, horizon=horizon, trials=trials, seed=8),
+                              name=f"{name}.json")
+            plain = tmp_path / f"{name}.jsonl"
+            assert main(["simulate", "--config", cfg, "--out", str(plain)]) == EXIT_OK
+            for threads in ("1", "3"):
+                store, out = tmp_path / f"{name}{threads}.runs", tmp_path / f"{name}{threads}.jsonl"
+                rc = main(["simulate", "--config", cfg, "--out", str(out),
+                           "--threads", threads, "--store", str(store)])
+                assert rc == EXIT_OK
+                assert out.read_bytes() == plain.read_bytes()
+                works.setdefault(name, []).append(json.loads(store.read_text())["work"])
+        assert works["dying"] == [{"budgeted": 500 * 302 * 2, "evaluated": 500 * 64 * 2}] * 2
+        mod2 = works["mod2"]
+        assert mod2[0] == mod2[1]
+        assert mod2[0]["budgeted"] == 400 * 152 * 2 * 2
+        assert 400 * 64 * 4 <= mod2[0]["evaluated"] < mod2[0]["budgeted"]
 
     def test_no_store_no_file(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC})

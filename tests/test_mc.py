@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from frogz.classify import ProcessParams
 from frogz.errors import OutOfRangeError, ResourceLimitError
 from frogz.exact import partial_survival_product
 from frogz.mc import (
+    _BLOCK,
     SimConfig,
+    _frontiers,
+    _left_thresholds,
     estimate_activation_profile,
     estimate_survival,
     run_trials,
@@ -18,6 +22,7 @@ from frogz.mc import (
     wilson_interval,
 )
 from frogz.sequences import ConstantForm, single
+from mc_oracle import unblocked_frontiers
 
 
 def make_cfg(spec, N=1, L=1, horizon=50, trials=200, seed=7):
@@ -33,6 +38,15 @@ class TestConfig:
     def test_trials_positive(self, const_spec):
         with pytest.raises(OutOfRangeError):
             make_cfg(const_spec, trials=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_range(self, const_spec, seed):
+        with pytest.raises(OutOfRangeError):
+            make_cfg(const_spec, seed=seed)
+
+    def test_largest_seed_runs(self, const_spec):
+        cfg = make_cfg(const_spec, trials=10, seed=2**64 - 1)
+        assert len(run_trials(cfg)) == 10
 
     def test_budget_guard(self, const_spec):
         cfg = make_cfg(const_spec, trials=1000, horizon=1000)
@@ -98,6 +112,67 @@ class TestDeterminism:
             h, active = simulate_trial(cfg.params, cfg.horizon, t, cfg.seed)
             assert h == batch[t]
             assert active == frozenset(range(1, max(active) + 1))
+
+
+class TestBlockedScan:
+    @given(data=st.data(), N=st.integers(1, 4), L=st.integers(1, 4),
+           seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unblocked_oracle(self, data, N, L, seed, trials):
+        # S = M + L tracked sites, below, on and just past block edges
+        S = data.draw(st.one_of(st.integers(2 * L + 1, _BLOCK - 1),
+                                st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK])))
+        q = data.draw(st.floats(0.02, 0.9))
+        cfg = make_cfg(single(ConstantForm(q=q)), N=N, L=L, horizon=S - L,
+                       trials=trials, seed=seed)
+        qs = cfg.params.spec.values(1, S + 1)
+        assert np.array_equal(run_trials(cfg, threads=2),
+                              unblocked_frontiers(qs, N, L, seed, 0, trials))
+        # per-site laws mixing sure right steps, coin flips and sure left
+        # steps: walks then often jump a block edge onto a site that stalls
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        qs = rng.choice([1e-9, 0.5, 1 - 1e-9], size=S, p=[0.8, 0.1, 0.1])
+        lo = data.draw(st.integers(0, 2**40))
+        assert np.array_equal(_frontiers(_left_thresholds(qs), N, L, seed, lo, lo + trials),
+                              unblocked_frontiers(qs, N, L, seed, lo, lo + trials))
+
+    @pytest.mark.parametrize("L, want", [(1, _BLOCK + 1), (2, 3 * _BLOCK)])
+    def test_reach_carried_across_block_edge(self, L, want):
+        # every walk steps right, except on the first site of each block after
+        # the first, where it steps left: only a reach from the previous block
+        # (L >= 2) carries the frontier over that site
+        qs = np.full(3 * _BLOCK, 1e-12)
+        qs[_BLOCK::_BLOCK] = 1 - 1e-12
+        got = _frontiers(_left_thresholds(qs), 1, L, 5, 0, 20)
+        assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
+        assert np.all(got == want)
+
+    @pytest.mark.parametrize("q0", [0.5, 1 / 3, 0.1, 1 - 2.0**-53, 2.0**-60])
+    def test_integer_threshold_matches_float_test(self, q0):
+        for q in (np.nextafter(q0, 0.0), q0, np.nextafter(q0, 1.0)):
+            T = int(_left_thresholds(np.array([q]))[0])
+            # hashes whose top 53 bits sit on either side of the threshold,
+            # with the low 11 bits clear and set, plus random ones
+            ks = [k for k in (T - 2, T - 1, T, T + 1) if 0 <= k < 2**53]
+            hs = [k << 11 | low for k in ks for low in (0, 2**11 - 1)]
+            hs += np.random.default_rng(0).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+            h = np.array(hs, dtype=np.uint64)
+            k = h >> np.uint64(11)
+            assert np.array_equal(k < np.uint64(T), k.astype(np.float64) * 2.0**-53 < q)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # dies within the first block, so the scan never reaches the horizon
+        cfg = {M: make_cfg(single(ConstantForm(q=0.9)), horizon=M, trials=1000)
+               for M in (2_000, 20_000)}
+        peak = {}
+        for M, c in cfg.items():
+            tracemalloc.start()
+            try:
+                run_trials(c)
+                peak[M] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[20_000] <= 1.5 * peak[2_000], peak
 
 
 class TestPhysicality:
