@@ -38,8 +38,7 @@ def main() -> int:
                 writer.writerow([N, L, v.outcome.value, v.trace[0].rule])
         return 0
 
-    glyph = {"DiesAS": ".", "SurvivesWPP": "#", "SurvivesForLargeN": "+",
-             "SurvivesForLargeNL": "~", "Boundary": "?", "Unknown": "?"}
+    glyph = {"DiesAS": ".", "SurvivesWPP": "#", "SurvivesForLargeN": "+"}
     print(f"rows N=1..{args.n_max}, cols L=1..{args.l_max}"
           "  (. dies, # survives wpp, + survives for large N)")
     for N in range(1, args.n_max + 1):

@@ -1,19 +1,21 @@
 """Survival/extinction classification of the process Gamma[N, L, (q_n)].
 
 Rules R1-R6 are cheap structural criteria on the summability index m, the
-threshold b(N, L), monotonicity, and the subsequence quantities L0/L1.  R7 is
-the sharp series test: sum a_n diverges iff the process dies out a.s., and the
-sandwich bounds reduce that series, per block alignment, to
-sum n^(-E_r) (log n)^(-F_r) with exponents read off the spec symbolically.
-The structural rules are evaluated first and must agree whenever several of
-them apply (tested as a hard invariant); R7 carries a complete-period window
-refinement calibrated for the remaining regime, so it only decides when no
-structural rule fires.
+threshold b(N, L), monotonicity, and the subsequence quantities L0/L1.  They
+form one ordered table, _RULES: classify() takes the first entry that fires,
+applicable_rules() every entry that fires, and the soundness cross-check
+(tested as a hard invariant) is that those all agree.  When no entry fires,
+both fall back to R7, the sharp series test: sum a_n diverges iff the process
+dies out a.s., and the sandwich bounds reduce that series, per block
+alignment, to sum n^(-E_r) (log n)^(-F_r) with exponents read off the spec
+symbolically.  R7 carries a complete-period window refinement calibrated for
+that remaining regime only.  Sparse overrides block the exponents; there the
+fallback is R8, survival for all large N, since L0 <= L < L1 must hold once
+R5 and R6 have failed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,9 +31,6 @@ class Outcome(str, Enum):
     DIES_AS = "DiesAS"
     SURVIVES_WPP = "SurvivesWPP"
     SURVIVES_FOR_LARGE_N = "SurvivesForLargeN"
-    SURVIVES_FOR_LARGE_NL = "SurvivesForLargeNL"
-    BOUNDARY = "Boundary"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,10 @@ class Verdict:
     b: int
     L0: float
     L1: float
-    n0: float | None = None
     exponents: tuple[SeriesExponent, ...] = ()
 
     def to_dict(self) -> dict:
         def num(x):
-            if x is None:
-                return None
             return "inf" if x == INF else x
 
         return {
@@ -99,7 +95,6 @@ class Verdict:
                 "b": self.b,
                 "L0": num(self.L0),
                 "L1": num(self.L1),
-                "N0": num(self.n0),
                 "exponents": [
                     {"residue": e.residue, "E": e.power_exp, "F": e.log_exp}
                     for e in self.exponents
@@ -171,85 +166,67 @@ def survival_threshold_N(spec: SequenceSpec, L: int, cap: int = DEFAULT_N_CAP):
     return INF
 
 
+def _spec_values(spec: SequenceSpec, N: int, L: int) -> dict:
+    """The values every rule reads; D1 and L0/L1 are cached per spec."""
+    l0, l1, _ = L0_L1(spec)
+    return {"m": m_of(spec), "b": b(N, L), "L0": l0, "L1": l1, "D1": is_in_D1(spec)}
+
+
+# The structural rules in decision order: (rule id, predicate on the spec
+# values and L, outcome, trace note).  Whenever several fire they agree.
+_RULES = (
+    ("R1", lambda v, L: v["m"] != INF and v["m"] <= v["b"], Outcome.SURVIVES_WPP,
+     "finite summability index within the left-jump budget"),
+    ("R2", lambda v, L: v["m"] != INF and v["D1"] == "yes" and v["m"] > v["b"], Outcome.DIES_AS,
+     "nonincreasing, summability index exceeds the budget"),
+    ("R3", lambda v, L: v["m"] == INF and v["D1"] == "yes", Outcome.DIES_AS,
+     "nonincreasing with infinite summability index"),
+    ("R4", lambda v, L: v["m"] == INF and v["L0"] == INF, Outcome.DIES_AS,
+     "every summable-power subsequence has unbounded gaps"),
+    ("R5", lambda v, L: L < v["L0"], Outcome.DIES_AS,
+     "lifetime below the minimal recurring gap L0"),
+    ("R6", lambda v, L: v["L1"] != INF and L >= v["L1"], Outcome.SURVIVES_WPP,
+     "lifetime at least the gap-times-index product L1"),
+)
+
+
 def applicable_rules(params: ProcessParams) -> dict[str, Outcome]:
     """Every decisive rule whose hypothesis holds, evaluated independently.
 
     Used by the soundness cross-check: all entries must agree on any verdict
-    they produce.  R7 is included only when no structural rule fires, because
-    its complete-period window refinement is calibrated for exactly that
-    regime (it is not guaranteed outside it).
+    they produce.  R7 is included only when no table rule fires, because its
+    complete-period window refinement is calibrated for exactly that regime
+    (it is not guaranteed outside it).  R8 is never included: it decides
+    survival only for large N, not at this N.
     """
-    spec, N, L = params.spec, params.N, params.L
-    m = m_of(spec)
-    d1 = is_in_D1(spec)
-    l0, l1, _ = L0_L1(spec)
-    bb = b(N, L)
-    fired: dict[str, Outcome] = {}
-    if m != INF and m <= bb:
-        fired["R1"] = Outcome.SURVIVES_WPP
-    if m != INF and d1 == "yes" and m > bb:
-        fired["R2"] = Outcome.DIES_AS
-    if m == INF and d1 == "yes":
-        fired["R3"] = Outcome.DIES_AS
-    if m == INF and l0 == INF:
-        fired["R4"] = Outcome.DIES_AS
-    if L < l0:
-        fired["R5"] = Outcome.DIES_AS
-    if l1 != INF and L >= l1:
-        fired["R6"] = Outcome.SURVIVES_WPP
-    if not fired and not spec.has_overrides:
-        outcome, _ = series_test(spec, N, L)
-        fired["R7"] = outcome
+    values = _spec_values(params.spec, params.N, params.L)
+    fired = {rule: outcome for rule, holds, outcome, _ in _RULES if holds(values, params.L)}
+    if not fired and not params.spec.has_overrides:
+        fired["R7"] = series_test(params.spec, params.N, params.L)[0]
     return fired
 
 
 def classify(params: ProcessParams) -> Verdict:
-    """Apply the rules in order, stopping at the first decisive one."""
-    spec, N, L = params.spec, params.N, params.L
-    m = m_of(spec)
-    d1 = is_in_D1(spec)
-    l0, l1, _ = L0_L1(spec)
-    bb = b(N, L)
-    base = {"m": m, "b": bb, "L0": l0, "L1": l1, "D1": d1}
-    trace: list[TraceEntry] = []
-
-    def verdict(outcome, n0=None, exps=()):
-        return Verdict(
-            outcome=outcome, trace=tuple(trace), m=m, b=bb, L0=l0, L1=l1,
-            n0=n0, exponents=tuple(exps),
-        )
-
-    if m != INF and m <= bb:
-        trace.append(TraceEntry("R1", "finite summability index within the left-jump budget", base))
-        return verdict(Outcome.SURVIVES_WPP)
-    if m != INF and d1 == "yes" and m > bb:
-        trace.append(TraceEntry("R2", "nonincreasing, summability index exceeds the budget", base))
-        return verdict(Outcome.DIES_AS)
-    if m == INF and d1 == "yes":
-        trace.append(TraceEntry("R3", "nonincreasing with infinite summability index", base))
-        return verdict(Outcome.DIES_AS)
-    if m == INF and l0 == INF:
-        trace.append(TraceEntry("R4", "every summable-power subsequence has unbounded gaps", base))
-        return verdict(Outcome.DIES_AS)
-    if L < l0:
-        trace.append(TraceEntry("R5", "lifetime below the minimal recurring gap L0", base))
-        return verdict(Outcome.DIES_AS)
-    if l1 != INF and L >= l1:
-        trace.append(TraceEntry("R6", "lifetime at least the gap-times-index product L1", base))
-        return verdict(Outcome.SURVIVES_WPP)
-    if not spec.has_overrides:
-        outcome, exps = series_test(spec, N, L)
-        vals = dict(base)
-        vals["exponents"] = [(e.residue, e.power_exp, e.log_exp) for e in exps]
-        trace.append(TraceEntry("R7", "series test on the block products", vals))
-        return verdict(outcome, exps=exps)
-    if l0 <= L < l1:
-        # overrides block the exponent computation, but a bounded-gap
-        # summable-power subsequence guarantees survival for all large N
-        n0 = None
-        trace.append(TraceEntry(
-            "R8", "bounded-gap summable subsequence; survives for all large N "
-            "(threshold search unavailable with sparse overrides)", base))
-        return verdict(Outcome.SURVIVES_FOR_LARGE_N, n0=n0)
-    trace.append(TraceEntry("U", "no rule applies", base))
-    return verdict(Outcome.UNKNOWN)
+    """The first table rule that fires decides; otherwise R7 or R8."""
+    values = _spec_values(params.spec, params.N, params.L)
+    exps = ()
+    for rule, holds, outcome, note in _RULES:
+        if holds(values, params.L):
+            entry = TraceEntry(rule, note, values)
+            break
+    else:
+        if params.spec.has_overrides:
+            # R8: L0 <= L < L1 holds once R5 and R6 have failed, and a
+            # bounded-gap summable-power subsequence gives survival for large N.
+            outcome = Outcome.SURVIVES_FOR_LARGE_N
+            note = ("bounded-gap summable subsequence; survives for all large N "
+                    "(threshold search unavailable with sparse overrides)")
+            entry = TraceEntry("R8", note, values)
+        else:
+            outcome, exps = series_test(params.spec, params.N, params.L)
+            vals = dict(values, exponents=[(e.residue, e.power_exp, e.log_exp) for e in exps])
+            entry = TraceEntry("R7", "series test on the block products", vals)
+    return Verdict(
+        outcome=outcome, trace=(entry,), m=values["m"], b=values["b"],
+        L0=values["L0"], L1=values["L1"], exponents=tuple(exps),
+    )

@@ -1,8 +1,7 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
-Configs are JSON, outputs are CSV/JSONL.  Exit codes: 0 success/decisive,
-1 malformed config, 2 invalid spec or guard refusal, 3 Boundary/Unknown
-verdict, 4 verification violation.
+Configs are JSON, outputs are CSV/JSONL.  Exit codes: 0 success, 1 malformed
+config, 2 invalid spec or guard refusal, 4 verification violation.
 """
 
 from __future__ import annotations
@@ -16,24 +15,21 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .classify import (
-    Outcome, ProcessParams, classify, min_alignment_exponent, series_test,
-)
+from .classify import ProcessParams, classify, min_alignment_exponent
 from .errors import (
     BoundViolationError, FrogzError, InvalidSpecError, MalformedConfigError,
     TooLargeError,
 )
 from .exact import (
-    ENUMERATION_MAX_STEPS, WalkLaw, b, bound_check, brute_force_reach,
+    ENUMERATION_MAX_STEPS, WalkLaw, bound_check, brute_force_reach,
     build_reach_table, reach_prob,
 )
 from .mc import ActivationProfile, SimConfig, activation_profile, estimate_survival
-from .sequences import INF, L0_L1, SequenceSpec, m_of
+from .sequences import INF, SequenceSpec
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_INVALID_SPEC = 2
-EXIT_INDECISIVE = 3
 EXIT_VIOLATION = 4
 
 
@@ -83,8 +79,6 @@ def cmd_classify(args) -> int:
     payload = json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
     _write_out(payload, args.out)
     _append_record(args.store, "classify", config, verdict.to_dict(), args.seed)
-    if verdict.outcome in (Outcome.BOUNDARY, Outcome.UNKNOWN):
-        return EXIT_INDECISIVE
     return EXIT_OK
 
 
@@ -150,8 +144,6 @@ def cmd_sweep(args) -> int:
     spec = SequenceSpec.from_dict(config["spec"])
     n_range = _parse_range(args.n_range)
     l_range = _parse_range(args.l_range)
-    l0, l1, _ = L0_L1(spec)
-    m = m_of(spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"])
@@ -165,9 +157,9 @@ def cmd_sweep(args) -> int:
                 min_e, min_f = repr(best.power_exp), best.log_exp
             writer.writerow([
                 N, L, verdict.outcome.value,
-                "inf" if m == INF else m, b(N, L),
-                "inf" if l0 == INF else int(l0),
-                "inf" if l1 == INF else int(l1),
+                "inf" if verdict.m == INF else verdict.m, verdict.b,
+                "inf" if verdict.L0 == INF else int(verdict.L0),
+                "inf" if verdict.L1 == INF else int(verdict.L1),
                 min_e, min_f,
             ])
     _write_out(buf.getvalue(), args.out)
@@ -234,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--store", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.set_defaults(fn=fn)
+    sub.choices["simulate"].add_argument("--threads", type=int, default=1)
     sub.choices["simulate"].add_argument("--trials", type=int, default=None)
     sub.choices["simulate"].add_argument("--horizon", type=int, default=None)
     sub.choices["simulate"].add_argument("--profile", default=None)

@@ -143,6 +143,15 @@ def not_visit_prob(q_i: float, N: int, L: int, delta: int):
     return (1 - reach_prob(WalkLaw(p, L), d)) ** N
 
 
+def _sandwich(spec: SequenceSpec, N: int, L: int, n: int, j: int):
+    """(q, lower, prob, upper) at position j of block n: prob is
+    P(no particle from site n+j ever visits n+L+1), and
+    lower = q^(N f(j)) <= prob <= upper = min(1, 2^(NL) q^(N f(j)))."""
+    q = spec.value(n + j)
+    lower = q ** (N * f(j, L))
+    return q, lower, not_visit_prob(q, N, L, L + 1 - j), min(1.0, 2 ** (N * L) * lower)
+
+
 def a_n(spec: SequenceSpec, N: int, L: int, n: int):
     """P(no particle from the block {n+1, ..., n+L} ever visits site n+L+1)."""
     if n < 0:
@@ -175,12 +184,8 @@ def bound_check(spec: SequenceSpec, N: int, L: int, n: int) -> list[BoundReport]
     """
     reports = []
     for j in range(1, L + 1):
-        q = spec.value(n + j)
-        lower = q ** (N * f(j, L))
-        upper = min(1.0, 2 ** (N * L) * lower)
-        prob = not_visit_prob(q, N, L, L + 1 - j)
-        rep = BoundReport(j=j, q=q, lower=lower, prob=prob, upper=upper)
-        if not (lower <= prob * (1 + 1e-12) and prob <= upper * (1 + 1e-12)):
+        rep = BoundReport(j, *_sandwich(spec, N, L, n, j))
+        if not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
             raise BoundViolationError(f"sandwich violated: {rep}")
         reports.append(rep)
     return reports
@@ -224,14 +229,12 @@ def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> ReachTa
     rows = []
     prod = 1.0
     for n in range(n_max + 1):
-        lower = 1.0
-        upper = 1.0
+        lower = an = upper = 1.0
         for j in range(1, L + 1):
-            q = spec.value(n + j)
-            lo = q ** (N * f(j, L))
+            _, lo, p, up = _sandwich(spec, N, L, n, j)
             lower *= lo
-            upper *= min(1.0, 2 ** (N * L) * lo)
-        an = a_n(spec, N, L, n)
+            an *= p
+            upper *= up
         if not (lower <= an * (1 + 1e-12) and an <= upper * (1 + 1e-12)):
             raise BoundViolationError(f"sandwich violated at n={n}: {lower} {an} {upper}")
         prod *= 1.0 - an

@@ -154,11 +154,13 @@ class SparseOverride:
         if not (self.a >= 1 and self.b >= 2 and self.j0 >= 0):
             raise InvalidSpecError(f"bad override family: a={self.a}, b={self.b}, j0={self.j0}")
         self.form.check()
-        v = self.form.value(max(self.j0, 1))
+        # the family's first value is its largest: forms do not increase
+        try:
+            v = self.form.value(self.j0)
+        except ZeroDivisionError as exc:
+            raise InvalidSpecError(f"override form undefined at j0={self.j0}") from exc
         if not (0.0 < v < 1.0):
             raise InvalidSpecError(f"override form value {v} at j0={self.j0} outside (0,1)")
-        if isinstance(self.form, LogInverse) and math.log(self.j0 + self.form.offset) <= 0:
-            raise InvalidSpecError("log-inverse override undefined at j0")
 
     def index(self, j: int) -> int:
         return self.a * self.b**j
@@ -365,7 +367,6 @@ class SubseqAnalysis:
     residues: tuple[int, ...]
     m_value: float
     l_value: float
-    in_Dc: bool
     note: str = ""
 
 
@@ -403,12 +404,15 @@ def _override_recurrent_residues(ov: SparseOverride, k: int) -> set[int]:
     return set(orbit[len(orbit) // 2:])
 
 
+@lru_cache(maxsize=256)
 def L0_L1(spec: SequenceSpec):
     """(L0, L1, witnesses) over the closed family of candidate subsequences.
 
     Candidates are nonempty residue subsets whose member classes all have a
     finite summability index (with and without override indices excluded) plus
     the override families themselves (l = infinity, never minimizers of L0).
+    Cached per spec, like is_in_D1: every (N, L) cell of a sweep reads one
+    result, so the witnesses are a tuple.
     """
     k = spec.modulus
     finite = [r for r in range(k) if spec.residue_forms[r].m != INF]
@@ -426,7 +430,7 @@ def L0_L1(spec: SequenceSpec):
             # natural subsequence: residue indices keep whatever values they
             # carry, overrides included
             m_nat = max([base_m] + [ov.form.m for ov in hitting])
-            candidates.append(SubseqAnalysis(subset, m_nat, base_l, True, "residues"))
+            candidates.append(SubseqAnalysis(subset, m_nat, base_l, "residues"))
         if hitting:
             # exclude every override index: sparse deletions merge adjacent
             # gaps at the recurrent residues they puncture
@@ -435,18 +439,18 @@ def L0_L1(spec: SequenceSpec):
                 for r0 in _override_recurrent_residues(ov, k) & set(subset):
                     merged = max(merged, _gap_neighbors(subset, k, r0))
             candidates.append(
-                SubseqAnalysis(subset, base_m, merged, True, "residues minus overrides")
+                SubseqAnalysis(subset, base_m, merged, "residues minus overrides")
             )
 
     for ov in spec.overrides:
         if ov.form.m != INF:
             candidates.append(
-                SubseqAnalysis((), ov.form.m, INF, True, f"override a={ov.a} b={ov.b}")
+                SubseqAnalysis((), ov.form.m, INF, f"override a={ov.a} b={ov.b}")
             )
 
     if not candidates:
-        return INF, INF, []
+        return INF, INF, ()
     l0 = min(c.l_value for c in candidates)
     l1 = min(c.l_value * c.m_value for c in candidates)
-    witnesses = sorted(candidates, key=lambda c: (c.l_value, c.residues))
+    witnesses = tuple(sorted(candidates, key=lambda c: (c.l_value, c.residues)))
     return l0, l1, witnesses

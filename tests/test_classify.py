@@ -126,7 +126,6 @@ class TestLargeNWindow:
         v = classify(ProcessParams(N=1, L=2, spec=aux))
         assert v.outcome is Outcome.SURVIVES_FOR_LARGE_N
         assert v.trace[0].rule == "R8"
-        assert v.n0 is None
         assert outcome(aux, 1, 1) is Outcome.DIES_AS   # L < L0
         assert outcome(aux, 1, 4) is Outcome.SURVIVES_WPP  # L >= L1
 

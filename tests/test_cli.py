@@ -3,10 +3,8 @@ import json
 
 import pytest
 
-from frogz.classify import Outcome, Verdict
 from frogz.cli import (
     EXIT_BAD_CONFIG,
-    EXIT_INDECISIVE,
     EXIT_INVALID_SPEC,
     EXIT_OK,
     EXIT_VIOLATION,
@@ -47,12 +45,19 @@ class TestClassifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "DiesAS"
 
-    def test_indecisive_exit(self, config_file, monkeypatch):
-        import frogz.cli as cli_mod
+    def test_values_keys(self, config_file, capsys):
+        cfg = config_file({"N": 2, "L": 2, "spec": MOD2_SPEC})
+        assert main(["classify", "--config", cfg]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload["values"]) == ["L0", "L1", "b", "exponents", "m"]
+
+    def test_threads_is_a_usage_error(self, config_file, capsys):
+        # only simulate runs threads; the other subcommands reject the flag
         cfg = config_file({"N": 1, "L": 1, "spec": MOD2_SPEC})
-        stub = Verdict(outcome=Outcome.UNKNOWN, trace=(), m=1, b=1, L0=1, L1=1)
-        monkeypatch.setattr(cli_mod, "classify", lambda params: stub)
-        assert main(["classify", "--config", cfg, "--out", "/dev/null"]) == EXIT_INDECISIVE
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestErrorExits:
@@ -81,6 +86,17 @@ class TestErrorExits:
     def test_bad_params_is_spec_error(self, config_file):
         cfg = config_file({"N": 0, "L": 1, "spec": MOD2_SPEC})
         assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
+
+    @pytest.mark.parametrize("override", [
+        # 0.5 * 0^(-1) at j = 0: used to escape as a ZeroDivisionError
+        {"a": 3, "b": 2, "j0": 0, "form": {"kind": "power", "c": 0.5, "alpha": 1, "offset": 0}},
+        # 1 / log 2 = 1.44 at n = 5000, past the numeric prefix scan: used to pass
+        {"a": 5000, "b": 2, "j0": 0, "form": {"kind": "loginv", "c": 1}},
+    ], ids=["power_pole", "loginv_above_one"])
+    def test_override_bad_at_j0_is_spec_error(self, config_file, capsys, override):
+        cfg = config_file({"N": 1, "L": 2, "spec": dict(MOD2_SPEC, overrides=[override])})
+        assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err.startswith("invalid input: override form")
 
 
 class TestExactCommand:
@@ -179,6 +195,18 @@ class TestSimulateCommand:
         assert p[0] == 1.0
         assert all(x >= y for x, y in zip(p, p[1:]))
 
+    def test_profile_when_2_to_the_NL_overflows(self, config_file, tmp_path):
+        # N*L = 1024: the profile uses a_n, which must stay finite here
+        cfg = config_file({"N": 128, "L": 8, "spec": MOD2_SPEC,
+                           "horizon": 12, "trials": 2, "seed": 1})
+        prof = tmp_path / "profile.csv"
+        store = tmp_path / "runs.jsonl"
+        rc = main(["simulate", "--config", cfg, "--out", "/dev/null",
+                   "--profile", str(prof), "--store", str(store)])
+        assert rc == EXIT_OK
+        assert len(list(csv.DictReader(prof.read_text().splitlines()))) == 12
+        assert len(store.read_text().splitlines()) == 1
+
 
 class TestSweepCommand:
     def test_grid(self, config_file, tmp_path):
@@ -203,6 +231,16 @@ class TestSweepCommand:
         assert rc == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("N,L,outcome")
+
+    def test_spec_analysed_once(self, config_file, tmp_path):
+        from frogz.sequences import L0_L1
+        L0_L1.cache_clear()
+        cfg = config_file({"spec": MOD2_SPEC})
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv"),
+                   "--n-range", "1:3", "--l-range", "1:4"])
+        assert rc == EXIT_OK
+        info = L0_L1.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
 
 
 class TestVerifyCommand:

@@ -154,6 +154,11 @@ class TestActivationProducts:
         p2 = not_visit_prob(0.5, 1, 2, 1)
         assert a_n(const_spec, N=1, L=2, n=1) == pytest.approx(p1 * p2)
 
+    def test_a_n_finite_when_2_to_the_NL_overflows(self, const_spec):
+        # N*L = 1024: a_n must not form the float 2^(NL) of the upper bound
+        assert math.isfinite(a_n(const_spec, N=128, L=8, n=0))
+        assert 0 < partial_survival_product(const_spec, N=128, L=8, M=3) <= 1
+
     def test_inv_square_product_limit(self, inv_square_spec):
         # with q_n = 1/(n+1)^2, N=L=1: a_n = q_{n+1} and the running
         # product of (1 - 1/m^2) for m >= 2 telescopes to 1/2

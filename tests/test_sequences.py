@@ -91,6 +91,25 @@ class TestValidity:
         with pytest.raises(InvalidSpecError):
             SparseOverride(a=1, b=1, form=ConstantForm(q=0.5)).check()
 
+    @pytest.mark.parametrize("override", [
+        # 0.5 * 0^(-1) at j = 0: used to escape as a ZeroDivisionError
+        SparseOverride(a=3, b=2, j0=0, form=PowerLaw(c=0.5, alpha=1, offset=0)),
+        # 1 / log 2 = 1.44 at n = 5000, past the numeric prefix scan: used to pass
+        SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1)),
+    ], ids=["power_pole", "loginv_above_one"])
+    def test_override_checked_at_j0(self, override):
+        with pytest.raises(InvalidSpecError, match="at j0=0"):
+            override.check()
+        with pytest.raises(InvalidSpecError):
+            SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
+                         overrides=(override,))
+
+    def test_override_valid_from_j0_accepted(self):
+        ov = SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1, offset=3))
+        spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
+                            overrides=(ov,))
+        assert spec.value(5000) == ov.form.value(0)
+
 
 class TestSummability:
     def test_sqrt_is_three(self, sqrt_spec):
