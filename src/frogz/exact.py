@@ -4,20 +4,28 @@ Single-walk reach probabilities by dynamic programming (with a 2^L
 path-enumeration oracle), non-visit probabilities, the block quantities a_n,
 the two-sided sandwich bounds around them, and truncated survival products.
 
-The DP works over whatever number type the step probability carries, so
-passing fractions.Fraction gives bit-stable exact-rational fixtures.
+The reach DP runs on an array of walks at once: a table or a profile makes one
+DP call per block position, over every block, and a scalar call is an array of
+one.  Each step does the scalar recurrence's IEEE operations in its order, so a
+batched value is bit-identical to a one-walk value.  Powers use Python's `**`
+on each element, never np.power, whose last bit can differ from `**`.  The DP
+works over whatever number type the step probability carries (object arrays
+for anything but float), so fractions.Fraction gives exact-rational fixtures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import BoundViolationError, OutOfRangeError, TooLargeError
 from .sequences import SequenceSpec
 
 ENUMERATION_MAX_STEPS = 20  # 2^L guard for the brute-force oracle
+_DP_CELLS = 1 << 14         # mass cells of one batched DP: sets the blocks per chunk
+_LDEXP_MAX = 2200           # 2^2200 * (smallest subnormal) already exceeds 1
 
 
 def f(j: int, L: int | None = None) -> int:
@@ -36,6 +44,10 @@ def b(N: int, L: int) -> int:
     return N * (L * (L + 2)) // 4
 
 
+def _p_right_error(p) -> OutOfRangeError:
+    return OutOfRangeError(f"p_right must be in (0,1), got {p}")
+
+
 @dataclass(frozen=True)
 class WalkLaw:
     """One +-1 walk: right-step probability and a fixed number of steps."""
@@ -45,85 +57,110 @@ class WalkLaw:
 
     def __post_init__(self):
         if not (0 < self.p_right < 1):
-            raise OutOfRangeError(f"p_right must be in (0,1), got {self.p_right}")
+            raise _p_right_error(self.p_right)
         if self.steps < 1:
             raise OutOfRangeError(f"steps must be >= 1, got {self.steps}")
+
+
+def _walk_array(values: list) -> np.ndarray:
+    """float64 when every value is a float, else an object array (exact arithmetic)."""
+    exact = not all(isinstance(v, float) for v in values)
+    return np.array(values, dtype=object if exact else np.float64)
+
+
+def _reach_dp(p: np.ndarray, L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(running max of an L-step walk reaches d), for each right-step probability in p.
+
+    Forward DP over (time, displacement) with an absorbing barrier at d.
+    mass[s + L + 1, w] is the probability that walk w sits at displacement s
+    in [-L, d-1], not yet absorbed; row 0 stays zero and the last row holds
+    the absorbed mass.  Per step, cell k takes mass[k-1]*p and then adds
+    mass[k+1]*q, and the top cell's mass*p is added to the absorbed mass.
+    Returns the absorbed mass and, per walk, whether retained + absorbed mass
+    stayed 1 at every step (exactly for object arrays, to 1e-12 for floats).
+    """
+    q = 1 - p
+    one = p + q
+    mass = np.empty((L + d + 2, p.size), dtype=p.dtype)
+    mass[:] = p * 0
+    mass[L + 1] = one
+    new = mass.copy()
+    totals = np.empty((L, p.size), dtype=p.dtype)
+    for t in range(L):
+        np.multiply(mass[:-1], p, out=new[1:])
+        new[1:-2] += mass[2:-1] * q
+        new[-1] += mass[-1]
+        mass, new = new, mass
+        np.add.reduce(mass, axis=0, out=totals[t])  # row by row, like a sum over a list
+    if p.dtype == object:
+        conserved = (totals == one).all(axis=0)
+    else:
+        conserved = (np.abs(totals - 1.0) <= 1e-12).all(axis=0)
+    return mass[-1], conserved
 
 
 def reach_prob(law: WalkLaw, d: int):
     """P(running max of the walk reaches displacement d within its steps).
 
-    Forward DP over (time, displacement) with an absorbing barrier at d.
     Conservation (retained + absorbed mass = 1) is asserted at every step.
     """
     if d < 1:
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
-    L = law.steps
-    if d > L:
+    if d > law.steps:
         return 0.0
-    p = law.p_right
-    q = 1 - p
-    one = p + q
-    # mass[s + L] = probability of sitting at displacement s, not yet absorbed
-    mass = [0 * p] * (L + d)
-    mass[L] = one
-    absorbed = 0 * p
-    exact = not isinstance(p, float)
+    return _reach_one(law.p_right, law.steps, d)
+
+
+@lru_cache(maxsize=4096, typed=True)  # typed: Fraction(1, 2) must not hit 0.5
+def _reach_one(p, L: int, d: int):
+    """reach_prob of one walk; `verify` asks for the same walk for every N."""
+    absorbed, conserved = _reach_dp(_walk_array([p]), L, d)
+    assert conserved[0]
+    return absorbed.tolist()[0]
+
+
+@lru_cache(maxsize=None)
+def _path_counts(L: int) -> tuple[tuple[int, ...], ...]:
+    """count[m][k]: how many of the 2^L step sequences have running max m and k right steps.
+
+    Every sequence is enumerated, one step at a time, as int8 arrays of its
+    position, running max and right steps: a few bytes per sequence.
+    """
+    pos = top = ups = np.zeros(1, dtype=np.int8)
     for _ in range(L):
-        new = [0 * p] * (L + d)
-        for idx, m in enumerate(mass):
-            if m == 0:
-                continue
-            up = idx + 1
-            if up == L + d:
-                absorbed = absorbed + m * p
-            else:
-                new[up] = new[up] + m * p
-            if idx > 0:
-                new[idx - 1] = new[idx - 1] + m * q
-        mass = new
-        total = absorbed + sum(mass)
-        if exact:
-            assert total == one
-        else:
-            assert math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-12)
-    return absorbed
-
-
-@lru_cache(maxsize=4096)
-def _max_displacement_dist(p, L: int):
-    """Running-max distribution by enumerating all 2^L step sequences."""
-    q = 1 - p
-    dist = [0 * p] * (L + 1)
-    for bits in range(1 << L):
-        pos = 0
-        best = 0
-        prob = 1 + 0 * p
-        for t in range(L):
-            if bits >> t & 1:
-                pos += 1
-                prob = prob * p
-                if pos > best:
-                    best = pos
-            else:
-                pos -= 1
-                prob = prob * q
-        dist[best] = dist[best] + prob
-    return tuple(dist)
+        right = pos + 1
+        pos = np.concatenate([right, pos - 1])
+        top = np.concatenate([np.maximum(top, right), top])
+        ups = np.concatenate([ups + 1, ups])
+    cells = (L + 1) ** 2
+    count = np.zeros(cells, dtype=np.int64)
+    chunk = 1 << 16
+    for i in range(0, top.size, chunk):
+        key = top[i:i + chunk].astype(np.intp) * (L + 1) + ups[i:i + chunk]
+        count += np.bincount(key, minlength=cells)
+    return tuple(map(tuple, count.reshape(L + 1, L + 1).tolist()))
 
 
 def brute_force_reach(law: WalkLaw, d: int):
-    """Independent oracle for reach_prob: exhaustive 2^L path enumeration."""
+    """Independent oracle for reach_prob: exhaustive 2^L path enumeration.
+
+    Sums count * p^k * q^(L-k) over the paths whose running max is at least d,
+    k being a path's number of right steps.
+    """
     if d < 1:
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
     if law.steps > ENUMERATION_MAX_STEPS:
         raise TooLargeError(
             f"enumeration guarded at L <= {ENUMERATION_MAX_STEPS}, got {law.steps}"
         )
-    if d > law.steps:
+    L = law.steps
+    if d > L:
         return 0.0
-    dist = _max_displacement_dist(law.p_right, law.steps)
-    return sum(dist[d:])
+    p = law.p_right
+    q = 1 - p
+    count = _path_counts(L)
+    return sum(sum(row[k] for row in count[d:]) * p ** k * q ** (L - k)
+               for k in range(L + 1))
 
 
 def not_visit_prob(q_i: float, N: int, L: int, delta: int):
@@ -143,24 +180,84 @@ def not_visit_prob(q_i: float, N: int, L: int, delta: int):
     return (1 - reach_prob(WalkLaw(p, L), d)) ** N
 
 
-def _sandwich(spec: SequenceSpec, N: int, L: int, n: int, j: int):
-    """(q, lower, prob, upper) at position j of block n: prob is
-    P(no particle from site n+j ever visits n+L+1), and
-    lower = q^(N f(j)) <= prob <= upper = min(1, 2^(NL) q^(N f(j)))."""
-    q = spec.value(n + j)
-    lower = q ** (N * f(j, L))
-    return q, lower, not_visit_prob(q, N, L, L + 1 - j), min(1.0, 2 ** (N * L) * lower)
+def _miss_probs(p: np.ndarray, N: int, L: int, d: int):
+    """not_visit_prob at distance d <= L for each walk's right-step probability in p.
+
+    Returns the list of probabilities and the first walk that fails, as
+    (index, error), or None: a p outside (0, 1) fails as WalkLaw would, a DP
+    that loses mass fails as reach_prob's assertion would.
+    """
+    if N < 1:
+        raise OutOfRangeError(f"need N >= 1, got {N}")
+    valid = (0 < p) & (p < 1)
+    reach, conserved = _reach_dp(p, L, d)
+    probs = [m ** N for m in (1 - reach).tolist()]
+    bad = np.flatnonzero(~(valid & conserved))
+    if not bad.size:
+        return probs, None
+    i = int(bad[0])
+    return probs, (i, _p_right_error(p[i:i + 1].tolist()[0]) if not valid[i] else AssertionError())
+
+
+def _sandwich(q: list, N: int, L: int, j: int) -> tuple[list, list]:
+    """Bounds at block position j for sites with left-step probabilities q:
+    lower = q^(N f(j)) <= P(no particle from n+j visits n+L+1) <= upper =
+    min(1, 2^(NL) lower).
+
+    upper is lower scaled by 2^(NL), exact and capped at 1, which never forms
+    the float 2^(NL) (it overflows once NL >= 1024).  Where q^(N f(j)) fell
+    below the normal floats, that product has lost its digits, so upper comes
+    from logs: 2^(NL + N f(j) log2 q).
+    """
+    k = N * f(j, L)
+    lower = [x ** k for x in q]
+    low = np.array(lower, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore"):
+        upper = np.ldexp(low, min(N * L, _LDEXP_MAX))
+        tiny = low < np.finfo(np.float64).tiny
+        if tiny.any():
+            upper[tiny] = np.exp2(N * L + k * np.log2(np.array(q, dtype=np.float64)[tiny]))
+    return lower, np.minimum(1.0, upper).tolist()
+
+
+def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
+    """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order.
+
+    lower and upper are the products of the per-position bounds.  Blocks go in
+    chunks; for each position j one batched DP covers the chunk's sites n + j,
+    and each q_i comes from spec.value once per chunk.  A walk that fails
+    raises when its block is reached, so the first error is the one a
+    block-by-block, position-by-position loop meets first.
+    """
+    if start < 0:
+        raise OutOfRangeError(f"block index must be >= 0, got {start}")
+    size = max(1, _DP_CELLS // (2 * max(L, 1)))
+    for first in range(start, stop, size):
+        B = min(stop, first + size) - first
+        q = [spec.value(i) for i in range(first + 1, first + B + L)]
+        p = 1 - _walk_array(q)
+        lower = a = upper = np.ones(B)
+        failure = None
+        for j in range(1, L + 1):
+            lo, up = _sandwich(q[j - 1:j - 1 + B], N, L, j)
+            probs, bad = _miss_probs(p[j - 1:j - 1 + B], N, L, L + 1 - j)
+            if bad is not None and (failure is None or bad[0] < failure[0]):
+                failure = bad
+            lower, a, upper = lower * lo, a * probs, upper * up
+        done = B if failure is None else failure[0]
+        yield from zip(lower[:done].tolist(), a[:done].tolist(), upper[:done].tolist())
+        if failure is not None:
+            raise failure[1]
 
 
 def a_n(spec: SequenceSpec, N: int, L: int, n: int):
     """P(no particle from the block {n+1, ..., n+L} ever visits site n+L+1)."""
-    if n < 0:
-        raise OutOfRangeError(f"block index must be >= 0, got {n}")
-    target = n + L + 1
-    prod = 1.0
-    for i in range(n + 1, n + L + 1):
-        prod *= not_visit_prob(spec.value(i), N, L, target - i)
-    return prod
+    return next(_blocks(spec, N, L, n, n + 1))[1]
+
+
+def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.ndarray:
+    """a_n for blocks n in [start, stop), one DP per block position and chunk."""
+    return np.array([an for _, an, _ in _blocks(spec, N, L, start, stop)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -184,7 +281,9 @@ def bound_check(spec: SequenceSpec, N: int, L: int, n: int) -> list[BoundReport]
     """
     reports = []
     for j in range(1, L + 1):
-        rep = BoundReport(j, *_sandwich(spec, N, L, n, j))
+        q = spec.value(n + j)
+        (lower,), (upper,) = _sandwich([q], N, L, j)
+        rep = BoundReport(j, q, lower, not_visit_prob(q, N, L, L + 1 - j), upper)
         if not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
             raise BoundViolationError(f"sandwich violated: {rep}")
         reports.append(rep)
@@ -200,8 +299,8 @@ def partial_survival_product(spec: SequenceSpec, N: int, L: int, M: int, start: 
     if M < 1:
         raise OutOfRangeError(f"need M >= 1, got {M}")
     prod = 1.0
-    for n in range(start, start + M):
-        prod *= 1.0 - a_n(spec, N, L, n)
+    for _, an, _ in _blocks(spec, N, L, start, start + M):
+        prod *= 1.0 - an
         if prod == 0.0:
             break
     return prod
@@ -228,13 +327,7 @@ def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> ReachTa
     """Rows n = 0..n_max with a_n, its sandwich bounds, and the running product."""
     rows = []
     prod = 1.0
-    for n in range(n_max + 1):
-        lower = an = upper = 1.0
-        for j in range(1, L + 1):
-            _, lo, p, up = _sandwich(spec, N, L, n, j)
-            lower *= lo
-            an *= p
-            upper *= up
+    for n, (lower, an, upper) in enumerate(_blocks(spec, N, L, 0, n_max + 1)):
         if not (lower <= an * (1 + 1e-12) and an <= upper * (1 + 1e-12)):
             raise BoundViolationError(f"sandwich violated at n={n}: {lower} {an} {upper}")
         prod *= 1.0 - an

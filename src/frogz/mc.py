@@ -283,14 +283,9 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     ])
     curve = np.full(M, np.nan)
     if L + 1 <= M:
-        anchor = p[L]  # P(E_{L+1})
-        prod = 1.0
-        curve[:L + 1] = np.nan
-        for n in range(1, M - L):
-            prod *= 1.0 - exact.a_n(cfg.params.spec, cfg.params.N, L, n)
-            site = n + L + 1
-            if site <= M:
-                curve[site - 1] = anchor * prod
+        # sites n+L+1 = L+2..M for blocks n = 1..M-L-1, anchored at P(E_{L+1})
+        an = exact.a_n_array(cfg.params.spec, cfg.params.N, L, 1, M - L)
+        curve[L + 1:] = p[L] * np.cumprod(1.0 - an)
     return ActivationProfile(
         config=cfg, sites=np.arange(1, M + 1), p_hat=p, ci_half=half,
         lower_curve=curve,

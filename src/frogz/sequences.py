@@ -44,6 +44,9 @@ class PowerLaw:
             raise InvalidSpecError(f"bad power-law parameters: {self}")
         if int(self.offset) != self.offset:
             raise InvalidSpecError("offset must be an integer")
+        if not math.isfinite(1.0 / self.alpha):
+            # m = floor(1/alpha) + 1 needs a finite 1/alpha
+            raise InvalidSpecError(f"power-law alpha {self.alpha} is too small: 1/alpha overflows")
         if self.value(1) >= 1.0:
             raise InvalidSpecError(
                 f"power-law form hits {self.value(1)} >= 1 at counter 1; "

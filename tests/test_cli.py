@@ -21,6 +21,9 @@ MOD2_SPEC = {
 }
 
 
+CONST_SPEC = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.5}}]}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(payload, name="config.json"):
@@ -98,6 +101,16 @@ class TestErrorExits:
         assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
         assert capsys.readouterr().err.startswith("invalid input: override form")
 
+    def test_tiny_alpha_is_spec_error(self, config_file, capsys):
+        # 1/alpha overflows, so m = floor(1/alpha) + 1 cannot be formed
+        spec = {"modulus": 1, "residues": [
+            {"r": 0, "form": {"kind": "power", "c": 0.5, "alpha": 1e-320, "offset": 1}}]}
+        cfg = config_file({"N": 1, "L": 1, "spec": spec})
+        assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: power-law alpha")
+        assert "Traceback" not in err
+
 
 class TestExactCommand:
     def test_table_csv(self, config_file, tmp_path):
@@ -109,6 +122,15 @@ class TestExactCommand:
         assert rows[0]["n"] == "0"
         for row in rows:
             assert 0.0 <= float(row["lower"]) <= float(row["upper"]) <= 1.0
+
+    def test_table_when_2_to_the_NL_overflows(self, config_file, tmp_path):
+        # N*L = 1024: the float 2^(NL) of the upper bound overflows
+        cfg = config_file({"N": 128, "L": 8, "n_max": 5, "spec": CONST_SPEC})
+        out = tmp_path / "table.csv"
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 6
+        assert all(row["upper"] == "1.0" for row in rows)
 
 
 class TestSimulateCommand:
@@ -195,6 +217,40 @@ class TestSimulateCommand:
         assert p[0] == 1.0
         assert all(x >= y for x, y in zip(p, p[1:]))
 
+    @pytest.mark.parametrize("payload", [
+        # the exact table of this spec fails its sandwich check at n=150;
+        # the profile does not check the sandwich and runs past it
+        {"N": 1, "L": 1, "horizon": 200, "trials": 300, "seed": 4, "spec": {
+            "modulus": 1,
+            "residues": [{"r": 0, "form": {"kind": "power", "c": 1, "alpha": 2, "offset": 1}}],
+        }},
+        {"N": 2, "L": 3, "horizon": 60, "trials": 300, "seed": 5, "spec": MOD2_SPEC},
+    ], ids=["inv_square", "mod2"])
+    def test_profile_matches_per_block_a_n(self, config_file, tmp_path, payload):
+        import math
+
+        import exact_oracle
+        import frogz.cli as cli_mod
+        import frogz.mc as mc_mod
+        prof = tmp_path / "profile.csv"
+        rc = main(["simulate", "--config", config_file(payload), "--out", "/dev/null",
+                   "--threads", "2", "--profile", str(prof)])
+        assert rc == EXIT_OK
+        sim = mc_mod.SimConfig(params=cli_mod._params_from_config(payload),
+                               horizon=payload["horizon"], trials=payload["trials"],
+                               seed=payload["seed"])
+        profile = mc_mod.estimate_activation_profile(sim)
+        # the lower curve block by block, one scalar a_n at a time
+        M, L = sim.horizon, sim.params.L
+        profile.lower_curve[:] = math.nan
+        prod = 1.0
+        for n in range(1, M - L):
+            prod *= 1.0 - exact_oracle.a_n(sim.params.spec, sim.params.N, L, n)
+            profile.lower_curve[n + L] = profile.p_hat[L] * prod
+        ref = tmp_path / "reference.csv"
+        cli_mod._write_profile(profile, str(ref))
+        assert prof.read_bytes() == ref.read_bytes()
+
     def test_profile_when_2_to_the_NL_overflows(self, config_file, tmp_path):
         # N*L = 1024: the profile uses a_n, which must stay finite here
         cfg = config_file({"N": 128, "L": 8, "spec": MOD2_SPEC,
@@ -250,6 +306,13 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["failures"] == []
         assert report["checked"] > 100
+
+    def test_grid_when_2_to_the_NL_overflows(self, config_file, tmp_path):
+        # N = 128 with L up to 8 reaches N*L = 1024, and 0.1^(128*3) underflows
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--config", config_file({"N_grid": [128]}), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["failures"] == []
 
     def test_oracle_guard_refused(self, config_file):
         cfg = config_file({"l_max": 25})

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from frogz.errors import BoundViolationError, OutOfRangeError, TooLargeError
+import exact_oracle as oracle
+import frogz.exact as exact_mod
+from frogz.errors import BoundViolationError, InvalidSpecError, OutOfRangeError, TooLargeError
 from frogz.exact import (
     WalkLaw,
     a_n,
+    a_n_array,
     b,
     bound_check,
     brute_force_reach,
@@ -18,7 +22,9 @@ from frogz.exact import (
     partial_survival_product,
     reach_prob,
 )
-from frogz.sequences import ConstantForm, PowerLaw, single
+from frogz.sequences import (
+    ConstantForm, LogInverse, PowerLaw, SequenceSpec, SparseOverride, single,
+)
 
 
 class TestCombinatorics:
@@ -182,3 +188,139 @@ class TestActivationProducts:
     def test_table_upper_is_capped(self, const_spec):
         table = build_reach_table(const_spec, N=1, L=4, n_max=10)
         assert all(row.upper <= 1.0 for row in table.rows)
+
+
+# -- the batched DP against the one-walk, one-block oracle ---------------------
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+# alpha up to 60 makes some q_i so small that 1 - q_i rounds to 1
+forms = st.one_of(
+    st.builds(PowerLaw, c=st.floats(0.05, 1.0), alpha=st.floats(0.2, 60.0),
+              offset=st.integers(0, 4)),
+    st.builds(LogInverse, c=st.floats(0.05, 1.2), offset=st.integers(2, 9)),
+    st.builds(ConstantForm, q=st.floats(0.01, 0.99)),
+)
+
+
+@st.composite
+def specs(draw):
+    k = draw(st.integers(1, 3))
+    overrides = ()
+    if draw(st.booleans()):
+        overrides = (SparseOverride(a=draw(st.integers(1, 4)), b=draw(st.integers(2, 3)),
+                                    form=draw(forms), j0=draw(st.integers(0, 2))),)
+    try:
+        return SequenceSpec(modulus=k, residue_forms=tuple(draw(forms) for _ in range(k)),
+                            overrides=overrides)
+    except InvalidSpecError:
+        reject()
+
+
+class TestBatchedReach:
+    @given(p=st.floats(1e-6, 1 - 1e-6), L=st.integers(1, 12), d=st.integers(1, 13))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_dp_is_bit_identical(self, p, L, d):
+        law = WalkLaw(p_right=p, steps=L)
+        assert reach_prob(law, d) == oracle.reach_prob(law, d)
+
+    def test_fraction_dp_exact(self):
+        for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
+            for L in range(1, 7):
+                law = WalkLaw(p_right=p, steps=L)
+                for d in range(1, L + 1):
+                    got = reach_prob(law, d)
+                    assert isinstance(got, Fraction)
+                    assert got == oracle.reach_prob(law, d)
+
+    def test_counts_oracle_equals_enumeration(self):
+        for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
+            for L in range(1, 11):
+                law = WalkLaw(p_right=p, steps=L)
+                dist = oracle.max_displacement_dist(p, L)
+                for d in range(1, L + 1):
+                    assert brute_force_reach(law, d) == sum(dist[d:])
+
+    def test_counts_table_memory_at_L20(self):
+        exact_mod._path_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            brute_force_reach(WalkLaw(p_right=0.5, steps=20), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        # every one of the 2^20 paths is counted once
+        assert sum(map(sum, exact_mod._path_counts(20))) == 2**20
+
+
+class TestBatchedTable:
+    @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 10), n_max=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_oracle(self, spec, N, L, n_max):
+        got = outcome(lambda: build_reach_table(spec, N, L, n_max).rows)
+        assert got == outcome(oracle.reach_table_rows, spec, N, L, n_max)
+
+    @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 6),
+           start=st.integers(0, 20), M=st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_a_n_matches_oracle(self, spec, N, L, start, M):
+        want = outcome(lambda: [oracle.a_n(spec, N, L, n) for n in range(start, start + M)])
+        got = outcome(lambda: a_n_array(spec, N, L, start, start + M).tolist())
+        assert got == want
+        if isinstance(want, list):
+            assert [a_n(spec, N, L, n) for n in range(start, start + M)] == want
+
+    @pytest.mark.parametrize("spec, N, L, n_max, message", [
+        (single(PowerLaw(c=1, alpha=2, offset=1)), 1, 1, 200, "sandwich violated at n=150:"),
+        (SequenceSpec(modulus=2, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),
+                                                LogInverse(c=1, offset=2))),
+         2, 14, 900, "sandwich violated at n=842:"),
+        (single(PowerLaw(c=0.5, alpha=40, offset=0)), 2, 3, 10, "p_right must be in (0,1)"),
+    ], ids=["inv_square", "mod2_interleave", "p_right_one"])
+    def test_first_error_matches_oracle(self, spec, N, L, n_max, message):
+        got = outcome(build_reach_table, spec, N, L, n_max)
+        assert got == outcome(oracle.reach_table_rows, spec, N, L, n_max)
+        assert got[1].startswith(message)
+
+    @pytest.mark.parametrize("index, j, error", [
+        (2, 1, AssertionError),   # (n=2, j=1) comes before the p_right failure at (2, 2)
+        (2, 2, OutOfRangeError),  # same walk: the law is checked before its DP runs
+        (3, 1, OutOfRangeError),  # a later block
+    ])
+    def test_first_failure_in_block_position_order(self, monkeypatch, index, j, error):
+        # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not): with L=2,
+        # site 4 fails first at n=2, j=2
+        spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
+        L = 2
+        dp = exact_mod._reach_dp
+
+        def leaky(p, steps, d):
+            reach, conserved = dp(p, steps, d)
+            if p.size > index and d == L + 1 - j:
+                conserved[index] = False
+            return reach, conserved
+
+        monkeypatch.setattr(exact_mod, "_reach_dp", leaky)
+        with pytest.raises(error):
+            build_reach_table(spec, 1, L, 5)
+
+    def test_partial_product_matches_oracle(self, mod2_spec):
+        want = 1.0
+        for n in range(3, 3 + 50):
+            want *= 1.0 - oracle.a_n(mod2_spec, 2, 3, n)
+        assert partial_survival_product(mod2_spec, 2, 3, 50, start=3) == want
+
+    def test_upper_from_logs_when_lower_underflows(self):
+        # 0.1^(128*3) underflows to 0.0, but 2^640 * 10^-384 is about 4.6e-192
+        (rep,) = bound_check(single(ConstantForm(q=0.1)), 128, 5, 0)[4:]
+        assert rep.lower == 0.0
+        assert rep.upper == pytest.approx(2.0 ** 640 * 10.0 ** -192 * 1e-192, rel=1e-9)
+        assert rep.prob <= rep.upper

@@ -104,6 +104,11 @@ class TestValidity:
             SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
                          overrides=(override,))
 
+    def test_tiny_alpha_rejected(self):
+        # 1/alpha is inf, so the summability index floor(1/alpha) + 1 is undefined
+        with pytest.raises(InvalidSpecError):
+            single(PowerLaw(c=0.5, alpha=1e-320, offset=1))
+
     def test_override_valid_from_j0_accepted(self):
         ov = SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1, offset=3))
         spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
