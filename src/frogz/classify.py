@@ -113,6 +113,10 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
     """
     if spec.has_overrides:
         raise InvalidSpecError("alignment exponents are undefined with sparse overrides")
+    try:
+        float(N)
+    except OverflowError as exc:
+        raise OutOfRangeError("N is too large for float series exponents") from exc
     k = spec.modulus
     out = []
     for r in range(k):

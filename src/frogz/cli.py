@@ -35,13 +35,28 @@ EXIT_VIOLATION = 4
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise MalformedConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _config_num(cfg: dict, key: str, default=None, kind=int):
+    """cfg[key] (or the default when given and the key is absent) as a number."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, OverflowError) as exc:
+        raise MalformedConfigError(
+            f"config key {key!r} must be a number, got {value!r}") from exc
 
 
 def _params_from_config(cfg: dict) -> ProcessParams:
+    if not isinstance(cfg, dict):
+        raise MalformedConfigError(f"params must be a JSON object, got {type(cfg).__name__}")
     try:
         spec = SequenceSpec.from_dict(cfg["spec"])
-        return ProcessParams(N=int(cfg["N"]), L=int(cfg["L"]), spec=spec)
+        return ProcessParams(N=_config_num(cfg, "N"), L=_config_num(cfg, "L"), spec=spec)
     except KeyError as exc:
         raise KeyError(f"missing config key {exc}") from exc
 
@@ -85,8 +100,8 @@ def cmd_classify(args) -> int:
 def cmd_exact(args) -> int:
     config = _load_config(args.config)
     spec = SequenceSpec.from_dict(config["spec"])
-    N, L = int(config["N"]), int(config["L"])
-    n_max = int(config.get("n_max", 50))
+    N, L = _config_num(config, "N"), _config_num(config, "L")
+    n_max = _config_num(config, "n_max", 50)
     table = build_reach_table(spec, N, L, n_max)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -116,12 +131,12 @@ def _write_profile(profile: ActivationProfile, path: str) -> None:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     params = _params_from_config(config.get("params", config))
-    horizon = args.horizon if args.horizon is not None else int(config.get("horizon", 0))
-    trials = args.trials if args.trials is not None else int(config.get("trials", 0))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    horizon = args.horizon if args.horizon is not None else _config_num(config, "horizon", 0)
+    trials = args.trials if args.trials is not None else _config_num(config, "trials", 0)
+    seed = args.seed if args.seed is not None else _config_num(config, "seed", 0)
     cfg = SimConfig(
         params=params, horizon=horizon, trials=trials, seed=seed,
-        ci_level=float(config.get("ci_level", 0.95)),
+        ci_level=_config_num(config, "ci_level", 0.95, float),
     )
     result = estimate_survival(cfg, threads=args.threads)
     _write_out(result.to_jsonl(), args.out)
@@ -170,7 +185,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    l_max = int(config.get("l_max", 8))
+    l_max = _config_num(config, "l_max", 8)
     if l_max > ENUMERATION_MAX_STEPS:
         sys.stderr.write(f"refusing oracle mode with L > {ENUMERATION_MAX_STEPS}\n")
         return EXIT_INVALID_SPEC

@@ -325,6 +325,8 @@ class ReachTable:
 
 def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> ReachTable:
     """Rows n = 0..n_max with a_n, its sandwich bounds, and the running product."""
+    if N < 1 or L < 1:
+        raise OutOfRangeError(f"need N >= 1 and L >= 1, got N={N}, L={L}")
     rows = []
     prod = 1.0
     for n, (lower, an, upper) in enumerate(_blocks(spec, N, L, 0, n_max + 1)):

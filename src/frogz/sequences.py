@@ -25,6 +25,9 @@ INF = math.inf
 
 # numeric scan horizon for monotonicity checks (fixed, reproducible)
 MONOTONE_SCAN_HORIZON = 10**6
+# windows of that scan: the first one, and the cap that bounds its memory
+D1_FIRST_WINDOW = 64
+D1_WINDOW_CAP = 1 << 16
 # numeric prefix checked at construction, on top of the symbolic tail argument
 VALIDITY_SCAN_PREFIX = 1000
 
@@ -130,6 +133,8 @@ PrimitiveForm = Union[PowerLaw, LogInverse, ConstantForm]
 
 
 def form_from_dict(d: dict) -> PrimitiveForm:
+    if not isinstance(d, dict):
+        raise MalformedConfigError(f"a form must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "power":
         return PowerLaw(c=float(d["c"]), alpha=float(d["alpha"]), offset=int(d.get("offset", 0)))
@@ -160,7 +165,7 @@ class SparseOverride:
         # the family's first value is its largest: forms do not increase
         try:
             v = self.form.value(self.j0)
-        except ZeroDivisionError as exc:
+        except ArithmeticError as exc:  # a pole at j0 = 0, or j0 too large for a float
             raise InvalidSpecError(f"override form undefined at j0={self.j0}") from exc
         if not (0.0 < v < 1.0):
             raise InvalidSpecError(f"override form value {v} at j0={self.j0} outside (0,1)")
@@ -172,6 +177,8 @@ class SparseOverride:
         """All (j, n) with n = a*b^j < stop, j >= j0."""
         out = []
         j = self.j0
+        if j >= stop.bit_length():
+            return out  # a * b^j >= 2^j >= stop, and b^j0 may be too big to form
         while self.index(j) < stop:
             out.append((j, self.index(j)))
             j += 1
@@ -217,14 +224,17 @@ class SequenceSpec:
             raise InvalidSpecError(
                 f"need one form per residue: modulus {k}, got {len(self.residue_forms)}"
             )
-        for form in self.residue_forms:
-            form.check()
-        for ov in self.overrides:
-            ov.check()
-        self._check_override_disjointness()
-        # belt and braces: the symbolic checks above guarantee the tail (forms
-        # are positive and nonincreasing in the counter), the prefix is scanned
-        vals = self.values(1, VALIDITY_SCAN_PREFIX + 1)
+        try:
+            for form in self.residue_forms:
+                form.check()
+            for ov in self.overrides:
+                ov.check()
+            self._check_override_disjointness()
+            # belt and braces: the symbolic checks above guarantee the tail (forms
+            # are positive and nonincreasing in the counter), the prefix is scanned
+            vals = self.values(1, VALIDITY_SCAN_PREFIX + 1)
+        except OverflowError as exc:  # an integer parameter too large for a float
+            raise InvalidSpecError(f"spec values cannot be computed: {exc}") from exc
         bad = np.nonzero((vals <= 0.0) | (vals >= 1.0))[0]
         if bad.size:
             n = int(bad[0]) + 1
@@ -298,7 +308,7 @@ class SequenceSpec:
             if k < 1:
                 raise MalformedConfigError(f"modulus must be >= 1, got {k}")
             entries = sorted(d["residues"], key=lambda e: int(e["r"]))
-            if [int(e["r"]) for e in entries] != list(range(k)):
+            if len(entries) != k or [int(e["r"]) for e in entries] != list(range(k)):
                 raise MalformedConfigError(f"residues must cover 0..{k - 1} exactly once")
             forms = tuple(form_from_dict(e["form"]) for e in entries)
             overrides = tuple(
@@ -308,7 +318,7 @@ class SequenceSpec:
                 )
                 for o in d.get("overrides", [])
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedConfigError(f"malformed spec object: {exc}") from exc
         return cls(modulus=k, residue_forms=forms, overrides=overrides)
 
@@ -340,6 +350,20 @@ def m_of(spec: SequenceSpec):
     return out
 
 
+def scan_windows(stop: int):
+    """[start, end) windows over the indices 1 .. stop - 1 for the D1 scan.
+
+    Sizes double from D1_FIRST_WINDOW up to D1_WINDOW_CAP, and each window
+    starts at the last index of the one before, so every adjacent pair of
+    indices lies inside one window.
+    """
+    start, size = 1, D1_FIRST_WINDOW
+    while start < stop - 1:
+        end = min(stop, start + size)
+        yield start, end
+        start, size = end - 1, min(2 * size, D1_WINDOW_CAP)
+
+
 @lru_cache(maxsize=256)
 def is_in_D1(spec: SequenceSpec) -> str:
     """Is (q_n) nonincreasing?  'yes' / 'no' / 'unknown'.
@@ -347,16 +371,20 @@ def is_in_D1(spec: SequenceSpec) -> str:
     'yes' only when provable symbolically (single class, or identical forms in
     every class: the occurrence counter is nondecreasing in n and every form is
     nonincreasing in its counter).  'no' when a violating adjacent pair shows
-    up in a scan of the first MONOTONE_SCAN_HORIZON indices.
+    up in a scan of the first MONOTONE_SCAN_HORIZON indices.  The scan reads
+    spec.values window by window (scan_windows), so it stops at the first
+    window with a strict increase and holds one window in memory; each value
+    is bit-identical to the one a single values() call over the prefix gives.
     """
     if not spec.overrides:
         if spec.modulus == 1:
             return "yes"
         if all(f == spec.residue_forms[0] for f in spec.residue_forms):
             return "yes"
-    vals = spec.values(1, MONOTONE_SCAN_HORIZON + 2)
-    if np.any(vals[1:] > vals[:-1]):
-        return "no"
+    for start, end in scan_windows(MONOTONE_SCAN_HORIZON + 2):
+        vals = spec.values(start, end)
+        if np.any(vals[1:] > vals[:-1]):
+            return "no"
     return "unknown"
 
 
@@ -373,26 +401,15 @@ class SubseqAnalysis:
     note: str = ""
 
 
+def _cyclic_gaps(residues: tuple[int, ...], k: int) -> list[int]:
+    """Gaps after each selected residue (sorted) to the next one, cyclically."""
+    rs = sorted(residues)
+    return [b - a for a, b in zip(rs, rs[1:])] + [k - rs[-1] + rs[0]]
+
+
 def cyclic_gap(residues: tuple[int, ...], k: int) -> int:
     """Max gap between consecutive selected residues over one cyclic period."""
-    rs = sorted(residues)
-    if len(rs) == 1:
-        return k
-    gaps = [rs[i + 1] - rs[i] for i in range(len(rs) - 1)]
-    gaps.append(k - rs[-1] + rs[0])
-    return max(gaps)
-
-
-def _gap_neighbors(residues: tuple[int, ...], k: int, r0: int) -> int:
-    """Merged gap created by deleting one occurrence at residue r0 from the
-    periodic pattern: gap to the previous selected residue plus gap to the next."""
-    rs = sorted(residues)
-    i = rs.index(r0)
-    prev_gap = rs[i] - rs[i - 1] if i > 0 else k - rs[-1] + rs[0]
-    next_gap = rs[i + 1] - rs[i] if i < len(rs) - 1 else k - rs[-1] + rs[0]
-    if len(rs) == 1:
-        prev_gap = next_gap = k
-    return prev_gap + next_gap
+    return max(_cyclic_gaps(residues, k))
 
 
 def _override_recurrent_residues(ov: SparseOverride, k: int) -> set[int]:
@@ -412,38 +429,48 @@ def L0_L1(spec: SequenceSpec):
     """(L0, L1, witnesses) over the closed family of candidate subsequences.
 
     Candidates are nonempty residue subsets whose member classes all have a
-    finite summability index (with and without override indices excluded) plus
-    the override families themselves (l = infinity, never minimizers of L0).
+    finite summability index, taken with the override indices they contain
+    ("residues", admissible when every override recurrent on the subset has
+    a finite index too) or without them ("residues minus overrides", when
+    some override is recurrent on the subset), plus the override families
+    themselves (l = infinity, never minimizers of L0).
+
+    Adding residues never widens a gap, so one sweep over the distinct finite
+    indices t finds the minima.  Natural candidates of index <= t all lie
+    inside the set of residues admissible at t, and "minus" candidates of
+    index <= t inside {r : m_r <= t}; each of these sets is itself a
+    candidate of index <= t with the least gap.  The witnesses are these
+    sets, one per threshold where they change, and the override families.
     Cached per spec, like is_in_D1: every (N, L) cell of a sweep reads one
     result, so the witnesses are a tuple.
     """
     k = spec.modulus
-    finite = [r for r in range(k) if spec.residue_forms[r].m != INF]
+    m_res = [form.m for form in spec.residue_forms]
+    recurrent = [_override_recurrent_residues(ov, k) for ov in spec.overrides]
+    # the largest index among overrides recurrent at r (0 when there is none)
+    m_ov = [max([ov.form.m for ov, rec in zip(spec.overrides, recurrent) if r in rec], default=0)
+            for r in range(k)]
+    punctured = set().union(*recurrent)
+    thresholds = sorted({m for m in m_res + [ov.form.m for ov in spec.overrides] if m != INF})
     candidates: list[SubseqAnalysis] = []
-
-    for mask in range(1, 1 << len(finite)):
-        subset = tuple(finite[i] for i in range(len(finite)) if mask >> i & 1)
-        base_l = cyclic_gap(subset, k)
-        base_m = max(spec.residue_forms[r].m for r in subset)
-        hitting = [
-            ov for ov in spec.overrides
-            if _override_recurrent_residues(ov, k) & set(subset)
-        ]
-        if all(ov.form.m != INF for ov in hitting):
-            # natural subsequence: residue indices keep whatever values they
-            # carry, overrides included
-            m_nat = max([base_m] + [ov.form.m for ov in hitting])
-            candidates.append(SubseqAnalysis(subset, m_nat, base_l, "residues"))
-        if hitting:
-            # exclude every override index: sparse deletions merge adjacent
-            # gaps at the recurrent residues they puncture
-            merged = base_l
-            for ov in hitting:
-                for r0 in _override_recurrent_residues(ov, k) & set(subset):
-                    merged = max(merged, _gap_neighbors(subset, k, r0))
-            candidates.append(
-                SubseqAnalysis(subset, base_m, merged, "residues minus overrides")
-            )
+    natural = minus = ()
+    for t in thresholds:
+        below = tuple(r for r in range(k) if m_res[r] <= t)
+        admissible = tuple(r for r in below if m_ov[r] <= t)
+        if admissible and admissible != natural:
+            # residue indices keep whatever values they carry, overrides included
+            natural = admissible
+            m_nat = max(max(m_res[r], m_ov[r]) for r in natural)
+            candidates.append(SubseqAnalysis(natural, m_nat, cyclic_gap(natural, k), "residues"))
+        if below != minus and punctured.intersection(below):
+            # exclude every override index: deleting one occurrence of a
+            # punctured residue merges the gaps on either side of it
+            minus = below
+            gaps = _cyclic_gaps(minus, k)
+            merged = max([max(gaps)] + [gaps[i - 1] + gaps[i]
+                                        for i, r in enumerate(minus) if r in punctured])
+            candidates.append(SubseqAnalysis(
+                minus, max(m_res[r] for r in minus), merged, "residues minus overrides"))
 
     for ov in spec.overrides:
         if ov.form.m != INF:

@@ -1,0 +1,82 @@
+"""Reference oracle for the spec-level analyses: full scans and enumeration.
+
+`is_in_D1` here builds the whole prefix q_1 .. q_{H+1} in one `values` call
+and compares every adjacent pair; `L0_L1` enumerates all 2^k residue subsets
+of the finite-index classes.  The windowed scan and the threshold sweep in
+`frogz.sequences` must give the same answers, with the same types (int or
+`inf`).  Keep k small when calling `L0_L1`: it doubles with every residue.
+"""
+
+import numpy as np
+
+from frogz.sequences import (
+    INF,
+    MONOTONE_SCAN_HORIZON,
+    SequenceSpec,
+    SubseqAnalysis,
+    _override_recurrent_residues,
+    cyclic_gap,
+)
+
+
+def is_in_D1(spec: SequenceSpec) -> str:
+    if not spec.overrides:
+        if spec.modulus == 1:
+            return "yes"
+        if all(f == spec.residue_forms[0] for f in spec.residue_forms):
+            return "yes"
+    vals = spec.values(1, MONOTONE_SCAN_HORIZON + 2)
+    if np.any(vals[1:] > vals[:-1]):
+        return "no"
+    return "unknown"
+
+
+def _gap_neighbors(residues: tuple[int, ...], k: int, r0: int) -> int:
+    """Merged gap created by deleting one occurrence at residue r0 from the
+    periodic pattern: gap to the previous selected residue plus gap to the next."""
+    rs = sorted(residues)
+    i = rs.index(r0)
+    prev_gap = rs[i] - rs[i - 1] if i > 0 else k - rs[-1] + rs[0]
+    next_gap = rs[i + 1] - rs[i] if i < len(rs) - 1 else k - rs[-1] + rs[0]
+    if len(rs) == 1:
+        prev_gap = next_gap = k
+    return prev_gap + next_gap
+
+
+def L0_L1(spec: SequenceSpec):
+    k = spec.modulus
+    finite = [r for r in range(k) if spec.residue_forms[r].m != INF]
+    candidates: list[SubseqAnalysis] = []
+
+    for mask in range(1, 1 << len(finite)):
+        subset = tuple(finite[i] for i in range(len(finite)) if mask >> i & 1)
+        base_l = cyclic_gap(subset, k)
+        base_m = max(spec.residue_forms[r].m for r in subset)
+        hitting = [
+            ov for ov in spec.overrides
+            if _override_recurrent_residues(ov, k) & set(subset)
+        ]
+        if all(ov.form.m != INF for ov in hitting):
+            m_nat = max([base_m] + [ov.form.m for ov in hitting])
+            candidates.append(SubseqAnalysis(subset, m_nat, base_l, "residues"))
+        if hitting:
+            merged = base_l
+            for ov in hitting:
+                for r0 in _override_recurrent_residues(ov, k) & set(subset):
+                    merged = max(merged, _gap_neighbors(subset, k, r0))
+            candidates.append(
+                SubseqAnalysis(subset, base_m, merged, "residues minus overrides")
+            )
+
+    for ov in spec.overrides:
+        if ov.form.m != INF:
+            candidates.append(
+                SubseqAnalysis((), ov.form.m, INF, f"override a={ov.a} b={ov.b}")
+            )
+
+    if not candidates:
+        return INF, INF, ()
+    l0 = min(c.l_value for c in candidates)
+    l1 = min(c.l_value * c.m_value for c in candidates)
+    witnesses = tuple(sorted(candidates, key=lambda c: (c.l_value, c.residues)))
+    return l0, l1, witnesses

@@ -1,7 +1,11 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogz.cli import (
     EXIT_BAD_CONFIG,
@@ -101,6 +105,33 @@ class TestErrorExits:
         assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
         assert capsys.readouterr().err.startswith("invalid input: override form")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"N": 1e400, "L": 1, "spec": %s}', "config key 'N' must be a number, got inf"),
+        ('{"N": [1], "L": 1, "spec": %s}', "config key 'N' must be a number, got [1]"),
+        ('[{"N": 1, "L": 1, "spec": %s}]', "config must be a JSON object, got list"),
+        ('{"N": 1, "L": 1, "spec": {"modulus": 1, "residues": [{"r": 0, "form": "x"}]}}',
+         "a form must be a JSON object, got 'x'"),
+    ], ids=["overflow", "list_N", "top_level_list", "form_string"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text.replace("%s", json.dumps(MOD2_SPEC)))
+        assert main(["classify", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"bad config: {message}\n"
+
+    @pytest.mark.parametrize("payload, code", [
+        # offset 10^400 cannot become a float: used to end in an OverflowError
+        ({"N": 1, "L": 1, "spec": {"modulus": 1, "residues": [{"r": 0, "form": {
+            "kind": "power", "c": 0.5, "alpha": 1, "offset": 10**400}}]}}, EXIT_INVALID_SPEC),
+        # the family starts at 3^(10^20): used to hang forming that number
+        ({"N": 1, "L": 1, "spec": dict(CONST_SPEC, overrides=[
+            {"a": 1, "b": 3, "j0": 10**20, "form": {"kind": "loginv", "c": 0.5}}])}, EXIT_OK),
+        # the series test (R7) forms N * alpha: used to end in an OverflowError
+        ({"N": 10**400, "L": 3, "spec": MOD2_SPEC}, EXIT_INVALID_SPEC),
+    ], ids=["offset", "j0", "N_in_series_test"])
+    def test_huge_integers(self, config_file, capsys, payload, code):
+        assert main(["classify", "--config", config_file(payload)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_tiny_alpha_is_spec_error(self, config_file, capsys):
         # 1/alpha overflows, so m = floor(1/alpha) + 1 cannot be formed
         spec = {"modulus": 1, "residues": [
@@ -131,6 +162,14 @@ class TestExactCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 6
         assert all(row["upper"] == "1.0" for row in rows)
+
+
+    def test_zero_lifetime_is_rejected(self, config_file, tmp_path, capsys):
+        cfg = config_file({"N": 1, "L": 0, "n_max": 2, "spec": CONST_SPEC})
+        out = tmp_path / "table.csv"
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid input: need N >= 1 and L >= 1, got N=1, L=0\n"
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -369,3 +408,61 @@ class TestStore:
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC})
         main(["classify", "--config", cfg, "--out", "/dev/null"])
         assert not (tmp_path / "runs.jsonl").exists()
+
+
+# -- any JSON config: a documented exit code, never an exception ---------------
+
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([0, 1, 2, 3, -1, 0.5, 10**400, "power", "loginv", "const"]),
+)
+_json = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _mostly(good):
+    """`good` about seven times in eight, any JSON value otherwise: plausible
+    configs get past the first checks and reach the classifier."""
+    return st.integers(0, 7).flatmap(lambda i: good if i < 7 else _json)
+
+
+_int = _mostly(st.one_of(st.integers(-1, 4), st.sampled_from([10**20, 10**400])))
+_number = _mostly(st.sampled_from([0.2, 0.3, 0.5, 0.7, 1, 2]))
+_form = _mostly(st.one_of(
+    st.fixed_dictionaries({"kind": st.just("power"), "c": _number, "alpha": _number},
+                          optional={"offset": _int}),
+    st.fixed_dictionaries({"kind": st.just("loginv"), "c": _number}, optional={"offset": _int}),
+    st.fixed_dictionaries({"kind": _mostly(st.just("const")), "q": _number}),
+))
+_override = _mostly(st.fixed_dictionaries(
+    {"a": _int, "b": _int, "form": _form}, optional={"j0": _int}))
+
+
+@st.composite
+def _spec(draw):
+    k = draw(st.integers(1, 3))
+    residues = [{"r": r, "form": draw(_form)} for r in range(k)]
+    return draw(_mostly(st.fixed_dictionaries({
+        "modulus": _mostly(st.just(k)),
+        "residues": _mostly(st.just(residues)),
+        "overrides": st.one_of(st.just([]), st.lists(_override, max_size=2)),
+    })))
+
+
+_config = _mostly(st.fixed_dictionaries({"N": _int, "L": _int, "spec": _spec()}))
+
+
+class TestAnyConfig:
+    @given(config=_config, sweep=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_documented_exit_code(self, config, sweep):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            argv = ["sweep", "--n-range", "1:2", "--l-range", "1:2"] if sweep else ["classify"]
+            code = main(argv + ["--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in {EXIT_OK, EXIT_BAD_CONFIG, EXIT_INVALID_SPEC, EXIT_VIOLATION}

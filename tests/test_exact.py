@@ -189,6 +189,12 @@ class TestActivationProducts:
         table = build_reach_table(const_spec, N=1, L=4, n_max=10)
         assert all(row.upper <= 1.0 for row in table.rows)
 
+    @pytest.mark.parametrize("N, L", [(1, 0), (1, -2), (0, 3)])
+    def test_table_rejects_empty_block_or_no_particles(self, const_spec, N, L):
+        # L = 0 used to give rows with a_n = 1.0 and a product of 0.0
+        with pytest.raises(OutOfRangeError, match=rf"need N >= 1 and L >= 1, got N={N}, L={L}"):
+            build_reach_table(const_spec, N=N, L=L, n_max=2)
+
 
 # -- the batched DP against the one-walk, one-block oracle ---------------------
 

@@ -1,14 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sequences_oracle as oracle
+from conftest import mod3_spec
 from frogz.errors import InvalidSpecError, MalformedConfigError, OutOfRangeError
 from frogz.sequences import (
+    D1_WINDOW_CAP,
     INF,
+    MONOTONE_SCAN_HORIZON,
     ConstantForm,
     L0_L1,
     LogInverse,
@@ -18,6 +23,7 @@ from frogz.sequences import (
     cyclic_gap,
     is_in_D1,
     m_of,
+    scan_windows,
     single,
 )
 
@@ -246,6 +252,107 @@ class TestSubsequences:
         spec = SequenceSpec(modulus=k, residue_forms=tuple(forms))
         l0, l1, _ = L0_L1(spec)
         assert l1 >= l0
+
+
+# forms that are valid at every counter and override j0 drawn below
+_alphas = st.sampled_from([0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
+_power = st.builds(PowerLaw, c=st.sampled_from([0.3, 0.5, 0.9]), alpha=_alphas,
+                   offset=st.integers(1, 3))
+_loginv = st.builds(LogInverse, c=st.sampled_from([0.3, 0.6]), offset=st.integers(2, 4))
+_const = st.builds(ConstantForm, q=st.sampled_from([0.2, 0.5]))
+# a few fixed forms, so that identical classes (provably in D1) come up too
+_shared = st.sampled_from([PowerLaw(c=0.5, alpha=0.5, offset=1), LogInverse(c=0.6, offset=2)])
+_override = st.builds(SparseOverride, a=st.integers(1, 12), b=st.integers(2, 4),
+                      form=st.one_of(_power, _loginv), j0=st.integers(0, 3))
+
+
+@st.composite
+def _specs(draw):
+    k = draw(st.integers(1, 8))
+    forms = tuple(draw(st.lists(st.one_of(_shared, _power, _loginv, _const),
+                                min_size=k, max_size=k)))
+    overrides = tuple(draw(st.lists(_override, max_size=2)))
+    try:
+        return SequenceSpec(modulus=k, residue_forms=forms, overrides=overrides)
+    except InvalidSpecError:
+        assume(False)  # overlapping override families
+
+
+class TestSpecAnalysisMatchesOracle:
+    """The windowed D1 scan and the L0/L1 threshold sweep against the full
+    scan and the 2^k subset enumeration of `tests/sequences_oracle.py`."""
+
+    @given(spec=_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_l0_l1_matches_oracle(self, spec):
+        l0, l1, witnesses = L0_L1(spec)
+        want = oracle.L0_L1(spec)
+        assert (l0, l1) == want[:2]
+        assert (type(l0), type(l1)) == (type(want[0]), type(want[1]))
+        assert set(witnesses) <= set(want[2])
+        assert bool(witnesses) == bool(want[2])
+
+    @given(spec=_specs())
+    @settings(max_examples=40, deadline=None)  # the oracle scans 10^6 values each time
+    def test_d1_matches_oracle(self, spec):
+        assert is_in_D1(spec) == oracle.is_in_D1(spec)
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 191, 192, MONOTONE_SCAN_HORIZON + 1,
+                                   MONOTONE_SCAN_HORIZON + 2])
+    def test_single_increase_found_in_any_window(self, n):
+        # one value above its predecessor at index n, on a decreasing background:
+        # the pair (n - 1, n) straddles a window edge for n = 65 and n = 192
+        spec = SequenceSpec(
+            modulus=1, residue_forms=(PowerLaw(c=0.5, alpha=0.5, offset=1),),
+            overrides=(SparseOverride(a=n, b=10**7, form=ConstantForm(q=0.9), j0=0),),
+        )
+        want = "no" if n <= MONOTONE_SCAN_HORIZON + 1 else "unknown"
+        assert is_in_D1(spec) == oracle.is_in_D1(spec) == want
+
+    def test_windows_cover_every_pair(self):
+        stop = MONOTONE_SCAN_HORIZON + 2
+        windows = list(scan_windows(stop))
+        assert windows[0][0] == 1 and windows[-1][1] == stop
+        for (_, end), (start, _) in zip(windows, windows[1:]):
+            assert start == end - 1
+        assert max(end - start for start, end in windows) == D1_WINDOW_CAP
+
+    def test_windowed_values_bit_identical(self, mod2_spec, dyadic_spec):
+        stop = MONOTONE_SCAN_HORIZON + 2
+        for spec in (mod2_spec, dyadic_spec, mod3_spec(0.5)):
+            full = spec.values(1, stop)
+            for start, end in scan_windows(stop):
+                part = spec.values(start, end)
+                assert np.array_equal(part.view(np.uint64),
+                                      full[start - 1:end - 1].view(np.uint64))
+
+    def test_unknown_scan_memory_bounded(self):
+        # ties only, no strict increase: the scan runs over the whole prefix
+        spec = SequenceSpec(modulus=2, residue_forms=(
+            PowerLaw(0.5, 1, offset=1), PowerLaw(0.5, 1, offset=0)))
+        tracemalloc.start()
+        try:
+            assert is_in_D1.__wrapped__(spec) == "unknown"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_forty_residues(self):
+        # 2^40 subsets would never finish; the sweep visits two thresholds
+        forms = tuple(PowerLaw(c=0.5, alpha=2.0 if r % 4 == 0 else 0.2, offset=1)
+                      for r in range(40))
+        spec = SequenceSpec(modulus=40, residue_forms=forms)
+        l0, l1, witnesses = L0_L1(spec)
+        # m = 1 on every fourth residue (gap 4), m = 6 on all of them (gap 1)
+        assert (l0, l1) == (1, 4)
+        assert [(len(w.residues), w.m_value, w.l_value) for w in witnesses] == [
+            (40, 6, 1), (10, 1, 4)]
+        ov = SparseOverride(a=1, b=3, form=LogInverse(c=0.3, offset=2))
+        punctured = SequenceSpec(modulus=40, residue_forms=forms, overrides=(ov,))
+        # 3^j mod 40 recurs on 1, 3, 9, 27 only: the m = 1 classes stay natural,
+        # and the rest lose those four (gap 2), as natural or as punctured sets
+        assert L0_L1(punctured)[:2] == (2, 4)
 
 
 class TestSerialization:
