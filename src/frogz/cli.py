@@ -21,11 +21,11 @@ from .errors import (
     TooLargeError,
 )
 from .exact import (
-    ENUMERATION_MAX_STEPS, WalkLaw, bound_check, brute_force_reach,
+    ENUMERATION_MAX_STEPS, WalkLaw, bound_reports, brute_force_reach,
     build_reach_table, reach_prob,
 )
 from .mc import ActivationProfile, SimConfig, activation_profile, estimate_survival
-from .sequences import INF, SequenceSpec
+from .sequences import INF, ConstantForm, SequenceSpec, single
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -43,12 +43,23 @@ def _load_config(path: str) -> dict:
 
 def _config_num(cfg: dict, key: str, default=None, kind=int):
     """cfg[key] (or the default when given and the key is absent) as a number."""
-    value = cfg[key] if default is None else cfg.get(key, default)
+    return _number(key, cfg[key] if default is None else cfg.get(key, default), kind)
+
+
+def _number(key: str, value, kind):
     try:
         return kind(value)
     except (TypeError, OverflowError) as exc:
         raise MalformedConfigError(
             f"config key {key!r} must be a number, got {value!r}") from exc
+
+
+def _config_grid(cfg: dict, key: str, default: list, kind) -> list:
+    """cfg[key] (or the default) as a list, each entry converted like _config_num."""
+    grid = cfg.get(key, default)
+    if not isinstance(grid, list):
+        raise MalformedConfigError(f"config key {key!r} must be a list, got {grid!r}")
+    return [_number(key, value, kind) for value in grid]
 
 
 def _params_from_config(cfg: dict) -> ProcessParams:
@@ -70,7 +81,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _append_record(store: str | None, subcommand: str, config: dict,
-                   result, seed, work: dict | None = None) -> None:
+                   result, **extra) -> None:
     if not store:
         return
     record = {
@@ -79,10 +90,8 @@ def _append_record(store: str | None, subcommand: str, config: dict,
         "config": config,
         "result": result,
         "version": __version__,
-        "seed": seed,
+        **extra,
     }
-    if work is not None:
-        record["work"] = work
     with open(store, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -93,7 +102,7 @@ def cmd_classify(args) -> int:
     verdict = classify(params)
     payload = json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
     _write_out(payload, args.out)
-    _append_record(args.store, "classify", config, verdict.to_dict(), args.seed)
+    _append_record(args.store, "classify", config, verdict.to_dict())
     return EXIT_OK
 
 
@@ -111,7 +120,7 @@ def cmd_exact(args) -> int:
                          repr(row.partial_product)])
     _write_out(buf.getvalue(), args.out)
     _append_record(args.store, "exact", config,
-                   {"rows": len(table.rows)}, args.seed)
+                   {"rows": len(table.rows)})
     return EXIT_OK
 
 
@@ -143,7 +152,7 @@ def cmd_simulate(args) -> int:
     if args.profile:
         _write_profile(activation_profile(result), args.profile)
     _append_record(args.store, "simulate", cfg.to_dict(),
-                   result.aggregate_dict()["result"], seed, work=result.work)
+                   result.aggregate_dict()["result"], seed=seed, work=result.work)
     return EXIT_OK
 
 
@@ -179,7 +188,7 @@ def cmd_sweep(args) -> int:
             ])
     _write_out(buf.getvalue(), args.out)
     _append_record(args.store, "sweep", config,
-                   {"rows": len(n_range) * len(l_range)}, args.seed)
+                   {"rows": len(n_range) * len(l_range)})
     return EXIT_OK
 
 
@@ -189,9 +198,9 @@ def cmd_verify(args) -> int:
     if l_max > ENUMERATION_MAX_STEPS:
         sys.stderr.write(f"refusing oracle mode with L > {ENUMERATION_MAX_STEPS}\n")
         return EXIT_INVALID_SPEC
-    p_grid = config.get("p_grid", [round(0.1 * i, 1) for i in range(1, 10)])
-    q_grid = config.get("q_grid", [0.1, 0.3, 0.5, 0.7, 0.9])
-    n_grid = config.get("N_grid", [1, 2, 3])
+    p_grid = _config_grid(config, "p_grid", [round(0.1 * i, 1) for i in range(1, 10)], float)
+    q_grid = _config_grid(config, "q_grid", [0.1, 0.3, 0.5, 0.7, 0.9], float)
+    n_grid = _config_grid(config, "N_grid", [1, 2, 3], int)
     checked = 0
     failures = []
     for L in range(1, l_max + 1):
@@ -203,19 +212,25 @@ def cmd_verify(args) -> int:
                 checked += 1
                 if abs(dp - oracle) > 1e-12:
                     failures.append(("reach", p, L, d, dp, oracle))
-    from .sequences import ConstantForm, single
-    for qv in q_grid:
-        spec = single(ConstantForm(q=qv))
+    # one batched DP per (N, L, position) serves every q; it runs at its first
+    # use, so outcomes and errors come in the (q, N, L) order of single checks
+    specs = [single(ConstantForm(q=qv)) for qv in q_grid]
+    grid = {}
+    for i, qv in enumerate(q_grid):
         for N in n_grid:
             for L in range(1, l_max + 1):
-                try:
-                    bound_check(spec, N, L, 0)
+                if (N, L) not in grid:
+                    grid[N, L] = bound_reports(specs, N, L, 0)
+                outcome = grid[N, L][i]
+                if isinstance(outcome, BoundViolationError):
+                    failures.append(("bound", qv, N, L, str(outcome)))
+                elif isinstance(outcome, Exception):
+                    raise outcome
+                else:
                     checked += L
-                except BoundViolationError as exc:
-                    failures.append(("bound", qv, N, L, str(exc)))
     report = {"checked": checked, "failures": failures}
     _write_out(json.dumps(report, sort_keys=True) + "\n", args.out)
-    _append_record(args.store, "verify", config, report, args.seed)
+    _append_record(args.store, "verify", config, report)
     if failures:
         sys.stderr.write(f"{len(failures)} violations, first: {failures[0]}\n")
         return EXIT_VIOLATION
@@ -240,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config)
         p.add_argument("--out", default=None)
         p.add_argument("--store", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.set_defaults(fn=fn)
+    sub.choices["simulate"].add_argument("--seed", type=int, default=None)
     sub.choices["simulate"].add_argument("--threads", type=int, default=1)
     sub.choices["simulate"].add_argument("--trials", type=int, default=None)
     sub.choices["simulate"].add_argument("--horizon", type=int, default=None)

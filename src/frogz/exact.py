@@ -1,16 +1,18 @@
 """Exact finite computations for the finite-lifetime walk system.
 
 Single-walk reach probabilities by dynamic programming (with a 2^L
-path-enumeration oracle), non-visit probabilities, the block quantities a_n,
-the two-sided sandwich bounds around them, and truncated survival products.
+path-enumeration oracle), the block quantities a_n, the two-sided sandwich
+bounds around them, and truncated survival products.
 
-The reach DP runs on an array of walks at once: a table or a profile makes one
-DP call per block position, over every block, and a scalar call is an array of
-one.  Each step does the scalar recurrence's IEEE operations in its order, so a
-batched value is bit-identical to a one-walk value.  Powers use Python's `**`
-on each element, never np.power, whose last bit can differ from `**`.  The DP
-works over whatever number type the step probability carries (object arrays
-for anything but float), so fractions.Fraction gives exact-rational fixtures.
+The reach DP runs on an array of walks at once.  Tables, profiles and bound
+checks reach it through one per-position path, `_positions`, which makes one
+DP call per block position over every block of a batch; `reach_prob` is an
+array of one.  Each step does the scalar recurrence's IEEE operations in its
+order, so a batched value is bit-identical to a one-walk value.  Powers use
+Python's `**` on each element, never np.power, whose last bit can differ from
+`**`.  The DP works over whatever number type the step probability carries
+(object arrays for anything but float), so fractions.Fraction gives
+exact-rational fixtures.
 """
 
 from __future__ import annotations
@@ -108,13 +110,7 @@ def reach_prob(law: WalkLaw, d: int):
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
     if d > law.steps:
         return 0.0
-    return _reach_one(law.p_right, law.steps, d)
-
-
-@lru_cache(maxsize=4096, typed=True)  # typed: Fraction(1, 2) must not hit 0.5
-def _reach_one(p, L: int, d: int):
-    """reach_prob of one walk; `verify` asks for the same walk for every N."""
-    absorbed, conserved = _reach_dp(_walk_array([p]), L, d)
+    absorbed, conserved = _reach_dp(_walk_array([law.p_right]), law.steps, d)
     assert conserved[0]
     return absorbed.tolist()[0]
 
@@ -163,40 +159,18 @@ def brute_force_reach(law: WalkLaw, d: int):
                for k in range(L + 1))
 
 
-def not_visit_prob(q_i: float, N: int, L: int, delta: int):
-    """P(site i + delta is never visited by any of the N walks from site i).
-
-    delta > 0 uses right-step probability 1 - q_i; delta < 0 mirrors the walk.
-    The origin itself (delta = 0) is visited at time 0 by definition.
-    """
-    if delta == 0:
-        raise OutOfRangeError("delta = 0: a site always visits itself at time 0")
-    if N < 1:
-        raise OutOfRangeError(f"need N >= 1, got {N}")
-    d = abs(delta)
-    if d > L:
-        return 1.0
-    p = (1 - q_i) if delta > 0 else q_i
-    return (1 - reach_prob(WalkLaw(p, L), d)) ** N
-
-
 def _miss_probs(p: np.ndarray, N: int, L: int, d: int):
-    """not_visit_prob at distance d <= L for each walk's right-step probability in p.
+    """(1 - reach)^N: P(no walk of N reaches d <= L), per right-step probability in p.
 
-    Returns the list of probabilities and the first walk that fails, as
-    (index, error), or None: a p outside (0, 1) fails as WalkLaw would, a DP
-    that loses mass fails as reach_prob's assertion would.
+    Returns the list of probabilities and the walks that fail, as {index:
+    error}: a p outside (0, 1) fails as WalkLaw would, a DP that loses mass
+    fails as reach_prob's assertion would.
     """
-    if N < 1:
-        raise OutOfRangeError(f"need N >= 1, got {N}")
     valid = (0 < p) & (p < 1)
     reach, conserved = _reach_dp(p, L, d)
-    probs = [m ** N for m in (1 - reach).tolist()]
-    bad = np.flatnonzero(~(valid & conserved))
-    if not bad.size:
-        return probs, None
-    i = int(bad[0])
-    return probs, (i, _p_right_error(p[i:i + 1].tolist()[0]) if not valid[i] else AssertionError())
+    bad = np.flatnonzero(~(valid & conserved)).tolist()
+    return [m ** N for m in (1 - reach).tolist()], {
+        i: AssertionError() if valid[i] else _p_right_error(p[i:i + 1].tolist()[0]) for i in bad}
 
 
 def _sandwich(q: list, N: int, L: int, j: int) -> tuple[list, list]:
@@ -220,6 +194,23 @@ def _sandwich(q: list, N: int, L: int, j: int) -> tuple[list, list]:
     return lower, np.minimum(1.0, upper).tolist()
 
 
+def _positions(columns: list[list], N: int, L: int):
+    """Per position j = 1..L of a batch of blocks, whose q at j is columns[j - 1]:
+    (lower, miss, upper) lists from _sandwich and _miss_probs, and the walks
+    that fail at j as {block index: error}.  Every block query comes through here.
+    """
+    if N < 1:
+        raise OutOfRangeError(f"need N >= 1, got {N}")
+    try:
+        float(N * L)
+    except OverflowError as exc:
+        raise OutOfRangeError("N*L is too large for float bounds") from exc
+    for j, q in enumerate(columns, 1):
+        lower, upper = _sandwich(q, N, L, j)
+        miss, bad = _miss_probs(1 - _walk_array(q), N, L, L + 1 - j)
+        yield lower, miss, upper, bad
+
+
 def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order.
 
@@ -235,15 +226,12 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     for first in range(start, stop, size):
         B = min(stop, first + size) - first
         q = [spec.value(i) for i in range(first + 1, first + B + L)]
-        p = 1 - _walk_array(q)
         lower = a = upper = np.ones(B)
         failure = None
-        for j in range(1, L + 1):
-            lo, up = _sandwich(q[j - 1:j - 1 + B], N, L, j)
-            probs, bad = _miss_probs(p[j - 1:j - 1 + B], N, L, L + 1 - j)
-            if bad is not None and (failure is None or bad[0] < failure[0]):
-                failure = bad
-            lower, a, upper = lower * lo, a * probs, upper * up
+        for lo, miss, up, bad in _positions([q[j:j + B] for j in range(L)], N, L):
+            if bad and (failure is None or min(bad) < failure[0]):
+                failure = min(bad.items())
+            lower, a, upper = lower * lo, a * miss, upper * up
         done = B if failure is None else failure[0]
         yield from zip(lower[:done].tolist(), a[:done].tolist(), upper[:done].tolist())
         if failure is not None:
@@ -268,9 +256,25 @@ class BoundReport:
     prob: float
     upper: float
 
-    @property
-    def margin(self) -> tuple[float, float]:
-        return (self.prob - self.lower, self.upper - self.prob)
+
+def bound_reports(specs: list[SequenceSpec], N: int, L: int, n: int) -> list:
+    """bound_check of block n for several specs, one DP per position: each spec's
+    reports, or the error its bound_check raises (the first in position order).
+    """
+    columns = [[spec.value(n + j) for spec in specs] for j in range(1, L + 1)]
+    outcomes = [[] for _ in specs]
+    for j, (lower, miss, upper, bad) in enumerate(_positions(columns, N, L), 1):
+        for i, reports in enumerate(outcomes):
+            if not isinstance(reports, list):
+                continue
+            rep = BoundReport(j, columns[j - 1][i], lower[i], miss[i], upper[i])
+            if i in bad:
+                outcomes[i] = bad[i]
+            elif not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
+                outcomes[i] = BoundViolationError(f"sandwich violated: {rep}")
+            else:
+                reports.append(rep)
+    return outcomes
 
 
 def bound_check(spec: SequenceSpec, N: int, L: int, n: int) -> list[BoundReport]:
@@ -279,15 +283,10 @@ def bound_check(spec: SequenceSpec, N: int, L: int, n: int) -> list[BoundReport]
     Raises BoundViolationError on failure: the bounds always hold, so a
     violation means a bug in the engine.
     """
-    reports = []
-    for j in range(1, L + 1):
-        q = spec.value(n + j)
-        (lower,), (upper,) = _sandwich([q], N, L, j)
-        rep = BoundReport(j, q, lower, not_visit_prob(q, N, L, L + 1 - j), upper)
-        if not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
-            raise BoundViolationError(f"sandwich violated: {rep}")
-        reports.append(rep)
-    return reports
+    (outcome,) = bound_reports([spec], N, L, n)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def partial_survival_product(spec: SequenceSpec, N: int, L: int, M: int, start: int = 0):

@@ -1,17 +1,18 @@
 """Reference oracle for the exact layer: one walk, one block at a time.
 
 This is the scalar form of `frogz.exact`: a pure-Python reach DP called once
-per (block, position), the 2^L enumeration of every path's probability, and
-the block-by-block table loop.  The batched DP, the path-counts oracle and the
-batched tables in `frogz.exact` must give the same values bit for bit, and
-the same first error (type and message).  The upper bound here is the plain
+per (block, position), the 2^L enumeration of every path's probability, the
+position-by-position bound check and the block-by-block table loop.  The
+batched DP, the path-counts oracle, the batched bound checks and tables in
+`frogz.exact` must give the same values bit for bit, and the same first error
+(type and message).  The upper bound here is the plain
 `2 ** (N*L) * lower`, so keep N*L < 1024 when comparing against it.
 """
 
 import math
 
 from frogz.errors import BoundViolationError, OutOfRangeError
-from frogz.exact import ReachRow, WalkLaw, f
+from frogz.exact import BoundReport, ReachRow, WalkLaw, f
 
 
 def reach_prob(law: WalkLaw, d: int):
@@ -91,6 +92,16 @@ def sandwich(spec, N: int, L: int, n: int, j: int):
     q = spec.value(n + j)
     lower = q ** (N * f(j, L))
     return q, lower, not_visit_prob(q, N, L, L + 1 - j), min(1.0, 2 ** (N * L) * lower)
+
+
+def bound_check(spec, N: int, L: int, n: int) -> list[BoundReport]:
+    reports = []
+    for j in range(1, L + 1):
+        rep = BoundReport(j, *sandwich(spec, N, L, n, j))
+        if not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
+            raise BoundViolationError(f"sandwich violated: {rep}")
+        reports.append(rep)
+    return reports
 
 
 def reach_table_rows(spec, N: int, L: int, n_max: int) -> tuple[ReachRow, ...]:

@@ -66,6 +66,16 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["exact"], ["sweep", "--n-range", "1:2", "--l-range", "1:2"], ["verify"]])
+    def test_seed_is_a_usage_error(self, config_file, capsys, command):
+        # only simulate draws random numbers; the other subcommands reject the flag
+        cfg = config_file({"N": 1, "L": 1, "spec": MOD2_SPEC})
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", cfg, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestErrorExits:
     def test_missing_file(self):
@@ -118,19 +128,61 @@ class TestErrorExits:
         assert main(["classify", "--config", str(path)]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == f"bad config: {message}\n"
 
-    @pytest.mark.parametrize("payload, code", [
+    @pytest.mark.parametrize("command, payload, code", [
         # offset 10^400 cannot become a float: used to end in an OverflowError
-        ({"N": 1, "L": 1, "spec": {"modulus": 1, "residues": [{"r": 0, "form": {
+        ("classify", {"N": 1, "L": 1, "spec": {"modulus": 1, "residues": [{"r": 0, "form": {
             "kind": "power", "c": 0.5, "alpha": 1, "offset": 10**400}}]}}, EXIT_INVALID_SPEC),
         # the family starts at 3^(10^20): used to hang forming that number
-        ({"N": 1, "L": 1, "spec": dict(CONST_SPEC, overrides=[
+        ("classify", {"N": 1, "L": 1, "spec": dict(CONST_SPEC, overrides=[
             {"a": 1, "b": 3, "j0": 10**20, "form": {"kind": "loginv", "c": 0.5}}])}, EXIT_OK),
         # the series test (R7) forms N * alpha: used to end in an OverflowError
-        ({"N": 10**400, "L": 3, "spec": MOD2_SPEC}, EXIT_INVALID_SPEC),
-    ], ids=["offset", "j0", "N_in_series_test"])
-    def test_huge_integers(self, config_file, capsys, payload, code):
-        assert main(["classify", "--config", config_file(payload)]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        ("classify", {"N": 10**400, "L": 3, "spec": MOD2_SPEC}, EXIT_INVALID_SPEC),
+        # the sandwich forms q^(N f(j)) and N*L: used to end in an OverflowError
+        ("exact", {"N": 10**400, "L": 2, "n_max": 2, "spec": CONST_SPEC}, EXIT_INVALID_SPEC),
+        ("verify", {"N_grid": [2, 10**400], "l_max": 2}, EXIT_INVALID_SPEC),
+    ], ids=["offset", "j0", "N_in_series_test", "N_in_exact", "N_in_verify"])
+    def test_huge_integers(self, config_file, capsys, command, payload, code):
+        assert main([command, "--config", config_file(payload), "--out", "/dev/null"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command != "classify":
+            assert err == "invalid input: N*L is too large for float bounds\n"
+
+    @pytest.mark.parametrize("grids, code, message", [
+        ({"N_grid": ["a"]}, EXIT_INVALID_SPEC,
+         "invalid input: invalid literal for int() with base 10: 'a'"),
+        ({"p_grid": 5}, EXIT_BAD_CONFIG, "bad config: config key 'p_grid' must be a list, got 5"),
+        ({"q_grid": [0.5, "x"]}, EXIT_INVALID_SPEC,
+         "invalid input: could not convert string to float: 'x'"),
+        ({"N_grid": [1.5]}, EXIT_OK, ""),
+        ({"N_grid": [None]}, EXIT_BAD_CONFIG,
+         "bad config: config key 'N_grid' must be a number, got None"),
+        ({"q_grid": [[0.5]]}, EXIT_BAD_CONFIG,
+         "bad config: config key 'q_grid' must be a number, got [0.5]"),
+        ({"q_grid": {"q": 0.5}}, EXIT_BAD_CONFIG,
+         "bad config: config key 'q_grid' must be a list, got {'q': 0.5}"),
+        # out of range: the messages of the checks downstream
+        ({"N_grid": [0]}, EXIT_INVALID_SPEC, "invalid input: need N >= 1, got 0"),
+        ({"p_grid": [1.5]}, EXIT_INVALID_SPEC, "invalid input: p_right must be in (0,1), got 1.5"),
+        ({"q_grid": [1e-20]}, EXIT_INVALID_SPEC,
+         "invalid input: p_right must be in (0,1), got 1.0"),
+        ({"q_grid": [0.5, 1.5]}, EXIT_INVALID_SPEC,
+         "invalid input: constant form must lie in (0,1), got 1.5"),
+        # two errors: the first in (q, N, L) order is reported
+        ({"q_grid": [1e-20], "N_grid": [1, 0]}, EXIT_INVALID_SPEC,
+         "invalid input: p_right must be in (0,1), got 1.0"),
+        ({"q_grid": [0.5, 1e-20], "N_grid": [1, 0]}, EXIT_INVALID_SPEC,
+         "invalid input: need N >= 1, got 0"),
+        ({"q_grid": [], "N_grid": [0]}, EXIT_OK, ""),
+    ], ids=["string_N", "scalar_p_grid", "string_q", "fractional_N", "null_N", "nested_q",
+            "object_q_grid", "zero_N", "p_above_one", "p_rounds_to_one", "q_above_one",
+            "walk_before_N", "N_before_walk", "N_unused"])
+    def test_verify_grids(self, config_file, capsys, grids, code, message):
+        # entries convert like scalar keys: a string is parsed as "N": "a" is,
+        # and 1.5 becomes 1 as "N": 1.5 does
+        cfg = config_file(dict(grids, l_max=2))
+        assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == code
+        assert capsys.readouterr().err == (message + "\n" if message else "")
 
     def test_tiny_alpha_is_spec_error(self, config_file, capsys):
         # 1/alpha overflows, so m = floor(1/alpha) + 1 cannot be formed
@@ -353,6 +405,47 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["failures"] == []
 
+    @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.3, 0.5, 0.7, 0.9]])
+    def test_sandwich_grid_is_one_dp_per_position(self, config_file, monkeypatch, q_grid):
+        import frogz.exact as exact_mod
+        dp, calls = exact_mod._reach_dp, []
+
+        def counting(p, L, d):
+            calls.append((p.size, L, d))
+            return dp(p, L, d)
+
+        monkeypatch.setattr(exact_mod, "_reach_dp", counting)
+        cfg = config_file({"l_max": 4, "p_grid": [], "q_grid": q_grid, "N_grid": [1, 2, 3]})
+        assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
+        assert calls == [(len(q_grid), L, L + 1 - j)
+                         for N in (1, 2, 3) for L in range(1, 5) for j in range(1, L + 1)]
+
+    def test_violations_in_q_N_L_order(self, config_file, tmp_path, capsys, monkeypatch):
+        import frogz.exact as exact_mod
+        from frogz.exact import BoundReport
+        miss_probs = exact_mod._miss_probs
+
+        def too_likely(p, N, L, d):
+            # the walks of q = 0.7 and q = 0.3 (right-step probability 1 - q)
+            probs, bad = miss_probs(p, N, L, d)
+            return [2.0 if x in (1 - 0.7, 1 - 0.3) else m for x, m in zip(p.tolist(), probs)], bad
+
+        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
+        cfg = config_file({"l_max": 3, "p_grid": [], "q_grid": [0.7, 0.1, 0.3, 0.9],
+                           "N_grid": [1, 2]})
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION
+        want = []
+        for q in (0.7, 0.3):
+            for N in (1, 2):
+                for L in (1, 2, 3):
+                    rep = BoundReport(1, q, q ** N, 2.0, min(1.0, 2 ** (N * L) * q ** N))
+                    want.append(["bound", q, N, L, f"sandwich violated: {rep}"])
+        report = json.loads(out.read_text())
+        assert report["failures"] == want
+        assert report["checked"] == 2 * 2 * (1 + 2 + 3)  # q = 0.1 and q = 0.9 pass
+        assert capsys.readouterr().err.startswith(f"12 violations, first: {tuple(want[0])}")
+
     def test_oracle_guard_refused(self, config_file):
         cfg = config_file({"l_max": 25})
         assert main(["verify", "--config", cfg]) == EXIT_INVALID_SPEC
@@ -379,6 +472,18 @@ class TestStore:
         assert rec["subcommand"] == "classify"
         assert rec["result"]["outcome"] == "DiesAS"
         assert "timestamp" in rec and "version" in rec
+
+    def test_seed_recorded_by_simulate_only(self, config_file, tmp_path):
+        cfg = config_file({"N": 1, "L": 2, "n_max": 2, "spec": MOD2_SPEC,
+                           "horizon": 5, "trials": 4})
+        store = tmp_path / "runs.jsonl"
+        for command in (["classify"], ["exact"], ["sweep", "--n-range", "1:1", "--l-range", "1:1"],
+                        ["verify"], ["simulate", "--seed", "6"]):
+            rc = main(command + ["--config", cfg, "--out", "/dev/null", "--store", str(store)])
+            assert rc == EXIT_OK
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        assert [("seed" in rec) for rec in records] == [False] * 4 + [True]
+        assert records[-1]["seed"] == 6
 
     def test_simulate_records_work(self, config_file, tmp_path):
         # q = 0.95 everywhere: every frontier dies inside the first 64-site block
@@ -456,13 +561,48 @@ def _spec(draw):
 _config = _mostly(st.fixed_dictionaries({"N": _int, "L": _int, "spec": _spec()}))
 
 
+_DOCUMENTED = {EXIT_OK, EXIT_BAD_CONFIG, EXIT_INVALID_SPEC, EXIT_VIOLATION}
+
+
+def _exit_code(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        return main(argv + ["--config", str(path), "--out", str(Path(tmp) / "out")])
+
+
+def _small_job(config):
+    """L, n_max and l_max set the size of the job, and a large one is valid
+    input: cap them so that every example stays small."""
+    if isinstance(config, dict):
+        for key in ("L", "n_max", "l_max"):
+            try:
+                if int(config[key]) > 6:
+                    config[key] = 3
+            except (KeyError, TypeError, ValueError, OverflowError):
+                pass
+    return config
+
+
 class TestAnyConfig:
     @given(config=_config, sweep=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_documented_exit_code(self, config, sweep):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(config))
-            argv = ["sweep", "--n-range", "1:2", "--l-range", "1:2"] if sweep else ["classify"]
-            code = main(argv + ["--config", str(path), "--out", str(Path(tmp) / "out")])
-        assert code in {EXIT_OK, EXIT_BAD_CONFIG, EXIT_INVALID_SPEC, EXIT_VIOLATION}
+        argv = ["sweep", "--n-range", "1:2", "--l-range", "1:2"] if sweep else ["classify"]
+        assert _exit_code(argv, config) in _DOCUMENTED
+
+    @given(config=_mostly(st.fixed_dictionaries(
+        {"N": _int, "L": _int, "n_max": _int, "spec": _spec()})))
+    @settings(max_examples=100, deadline=None)
+    def test_documented_exit_code_exact(self, config):
+        assert _exit_code(["exact"], _small_job(config)) in _DOCUMENTED
+
+    @given(config=_mostly(st.fixed_dictionaries({}, optional={
+        "l_max": _int,
+        "p_grid": _mostly(st.lists(_number, max_size=3)),
+        "q_grid": _mostly(st.lists(_number, max_size=3)),
+        "N_grid": _mostly(st.lists(_int, max_size=3)),
+    })))
+    @settings(max_examples=100, deadline=None)
+    def test_documented_exit_code_verify(self, config):
+        assert _exit_code(["verify"], _small_job(config)) in _DOCUMENTED

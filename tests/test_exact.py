@@ -1,9 +1,10 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
@@ -18,7 +19,6 @@ from frogz.exact import (
     brute_force_reach,
     build_reach_table,
     f,
-    not_visit_prob,
     partial_survival_product,
     reach_prob,
 )
@@ -101,32 +101,6 @@ class TestReach:
         assert all(x <= y + 1e-15 for x, y in zip(probs, probs[1:]))
 
 
-class TestNotVisit:
-    def test_single_particle_value(self):
-        # q=1/2, L=2, delta=1: visit prob = reach_prob = 5/8? no — leftward
-        # steps have prob q, so p_right = 1 - q = 1/2 and target is +1.
-        got = not_visit_prob(0.5, N=1, L=2, delta=1)
-        assert got == pytest.approx(1 - reach_prob(WalkLaw(0.5, 2), 1))
-
-    def test_power_in_N(self):
-        one = not_visit_prob(0.3, N=1, L=3, delta=2)
-        assert not_visit_prob(0.3, N=4, L=3, delta=2) == pytest.approx(one ** 4)
-
-    def test_beyond_range_certain(self):
-        assert not_visit_prob(0.5, N=2, L=3, delta=4) == 1.0
-        assert not_visit_prob(0.5, N=2, L=3, delta=-4) == 1.0
-
-    def test_left_mirror(self):
-        # moving left 2 with left-prob q is reaching +2 with p_right = q
-        q = 0.7
-        got = not_visit_prob(q, N=1, L=4, delta=-2)
-        assert got == pytest.approx(1 - reach_prob(WalkLaw(q, 4), 2))
-
-    def test_zero_delta_invalid(self):
-        with pytest.raises(OutOfRangeError):
-            not_visit_prob(0.5, N=1, L=2, delta=0)
-
-
 class TestSandwich:
     @given(
         q=st.floats(0.05, 0.95),
@@ -142,11 +116,15 @@ class TestSandwich:
             assert rep.prob <= rep.upper * (1 + 1e-12)
 
     def test_violation_raises(self, monkeypatch):
-        import frogz.exact as exact_mod
-        monkeypatch.setattr(exact_mod, "not_visit_prob",
-                            lambda q, N, L, delta: 2.0)
+        miss_probs = exact_mod._miss_probs
+
+        def too_likely(p, N, L, d):
+            probs, bad = miss_probs(p, N, L, d)
+            return [2.0] * len(probs), bad
+
+        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
         with pytest.raises(BoundViolationError):
-            exact_mod.bound_check(single(ConstantForm(q=0.5)), 1, 2, 0)
+            bound_check(single(ConstantForm(q=0.5)), 1, 2, 0)
 
 
 class TestActivationProducts:
@@ -156,8 +134,8 @@ class TestActivationProducts:
 
     def test_a_n_multiplies_over_sites(self, const_spec):
         # n=1, L=2: block sites 2 and 3, target site 4
-        p1 = not_visit_prob(0.5, 1, 2, 2)
-        p2 = not_visit_prob(0.5, 1, 2, 1)
+        p1 = oracle.not_visit_prob(0.5, 1, 2, 2)
+        p2 = oracle.not_visit_prob(0.5, 1, 2, 1)
         assert a_n(const_spec, N=1, L=2, n=1) == pytest.approx(p1 * p2)
 
     def test_a_n_finite_when_2_to_the_NL_overflows(self, const_spec):
@@ -330,3 +308,52 @@ class TestBatchedTable:
         assert rep.lower == 0.0
         assert rep.upper == pytest.approx(2.0 ** 640 * 10.0 ** -192 * 1e-192, rel=1e-9)
         assert rep.prob <= rep.upper
+
+
+class TestBatchedBoundCheck:
+    @given(batch=st.lists(specs(), min_size=1, max_size=3), N=st.integers(1, 3),
+           L=st.integers(1, 10), n=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_reports_match_oracle(self, batch, N, L, n):
+        # the oracle's upper bound is the plain 2^(NL) lower (N*L <= 30 here);
+        # once lower underflows, the bound comes from logs instead
+        assume(all(spec.value(n + j) ** (N * f(j, L)) >= sys.float_info.min
+                   for spec in batch for j in range(1, L + 1)))
+        want = [outcome(oracle.bound_check, spec, N, L, n) for spec in batch]
+        assert [outcome(bound_check, spec, N, L, n) for spec in batch] == want
+        got = exact_mod.bound_reports(batch, N, L, n)
+        assert [r if isinstance(r, list) else (type(r), str(r)) for r in got] == want
+
+    @pytest.mark.parametrize("leak_j, violate_j, error", [
+        (None, None, OutOfRangeError),   # site 4, at j = 2, has 1 - q_4 == 1.0
+        (1, None, AssertionError),       # a walk that loses mass at j = 1 comes first
+        (None, 1, BoundViolationError),  # so does a violation at j = 1
+        (None, 2, OutOfRangeError),      # at j = 2 the walk fails before the check
+    ])
+    def test_first_failure_in_position_order(self, monkeypatch, leak_j, violate_j, error):
+        # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not)
+        spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
+        L = 2
+        dp, miss_probs = exact_mod._reach_dp, exact_mod._miss_probs
+
+        def leaky(p, steps, d):
+            reach, conserved = dp(p, steps, d)
+            if leak_j is not None and d == L + 1 - leak_j:
+                conserved[:] = False
+            return reach, conserved
+
+        def too_likely(p, N, steps, d):
+            probs, bad = miss_probs(p, N, steps, d)
+            if violate_j is not None and d == L + 1 - violate_j:
+                probs = [2.0] * len(probs)
+            return probs, bad
+
+        monkeypatch.setattr(exact_mod, "_reach_dp", leaky)
+        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
+        with pytest.raises(error):
+            bound_check(spec, 1, L, 2)
+        outcomes = exact_mod.bound_reports([single(ConstantForm(q=0.5)), spec], 1, L, 2)
+        assert isinstance(outcomes[1], error)
+        # the q = 0.5 block fails only by an injection, which hits every walk
+        injected = leak_j is not None or violate_j is not None
+        assert isinstance(outcomes[0], Exception if injected else list)
