@@ -1,33 +1,8 @@
 """Finite-lifetime random-walk (frog) systems on the integers: exact
-computations, survival/extinction classification, and Monte Carlo simulation."""
+computations, survival/extinction classification, and Monte Carlo simulation.
+
+Import from the submodules: `frogz.sequences`, `frogz.classify`,
+`frogz.exact`, `frogz.mc`, and `frogz.cli` for the command line.
+"""
 
 __version__ = "0.1.0"
-
-from .classify import Outcome, ProcessParams, Verdict, classify
-from .mc import SimConfig, SimResult, estimate_survival, simulate_trial
-from .sequences import (
-    ConstantForm,
-    LogInverse,
-    PowerLaw,
-    SequenceSpec,
-    SparseOverride,
-    single,
-)
-
-__all__ = [
-    "ConstantForm",
-    "LogInverse",
-    "Outcome",
-    "PowerLaw",
-    "ProcessParams",
-    "SequenceSpec",
-    "SimConfig",
-    "SimResult",
-    "SparseOverride",
-    "Verdict",
-    "classify",
-    "estimate_survival",
-    "simulate_trial",
-    "single",
-    "__version__",
-]

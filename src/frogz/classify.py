@@ -161,9 +161,9 @@ def series_test(spec: SequenceSpec, N: int, L: int) -> tuple[Outcome, tuple[Seri
     return Outcome.SURVIVES_WPP, exps
 
 
-def survival_threshold_N(spec: SequenceSpec, L: int, cap: int = DEFAULT_N_CAP):
-    """Smallest N for which the series test yields survival; inf past the cap."""
-    for N in range(1, cap + 1):
+def survival_threshold_N(spec: SequenceSpec, L: int):
+    """Smallest N for which the series test yields survival; inf past DEFAULT_N_CAP."""
+    for N in range(1, DEFAULT_N_CAP + 1):
         outcome, _ = series_test(spec, N, L)
         if outcome is Outcome.SURVIVES_WPP:
             return N

@@ -25,7 +25,7 @@ from .exact import (
     build_reach_table, reach_prob,
 )
 from .mc import ActivationProfile, SimConfig, activation_profile, estimate_survival
-from .sequences import INF, ConstantForm, SequenceSpec, single
+from .sequences import INF, ConstantForm, SequenceSpec, config_number, single
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -43,15 +43,7 @@ def _load_config(path: str) -> dict:
 
 def _config_num(cfg: dict, key: str, default=None, kind=int):
     """cfg[key] (or the default when given and the key is absent) as a number."""
-    return _number(key, cfg[key] if default is None else cfg.get(key, default), kind)
-
-
-def _number(key: str, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, OverflowError) as exc:
-        raise MalformedConfigError(
-            f"config key {key!r} must be a number, got {value!r}") from exc
+    return config_number(key, cfg[key] if default is None else cfg.get(key, default), kind)
 
 
 def _config_grid(cfg: dict, key: str, default: list, kind) -> list:
@@ -59,7 +51,7 @@ def _config_grid(cfg: dict, key: str, default: list, kind) -> list:
     grid = cfg.get(key, default)
     if not isinstance(grid, list):
         raise MalformedConfigError(f"config key {key!r} must be a list, got {grid!r}")
-    return [_number(key, value, kind) for value in grid]
+    return [config_number(key, value, kind) for value in grid]
 
 
 def _params_from_config(cfg: dict) -> ProcessParams:
@@ -111,16 +103,15 @@ def cmd_exact(args) -> int:
     spec = SequenceSpec.from_dict(config["spec"])
     N, L = _config_num(config, "N"), _config_num(config, "L")
     n_max = _config_num(config, "n_max", 50)
-    table = build_reach_table(spec, N, L, n_max)
+    rows = build_reach_table(spec, N, L, n_max)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "a_n", "lower", "upper", "partial_product"])
-    for row in table.rows:
+    for row in rows:
         writer.writerow([row.n, repr(row.a_n), repr(row.lower), repr(row.upper),
                          repr(row.partial_product)])
     _write_out(buf.getvalue(), args.out)
-    _append_record(args.store, "exact", config,
-                   {"rows": len(table.rows)})
+    _append_record(args.store, "exact", config, {"rows": len(rows)})
     return EXIT_OK
 
 
@@ -157,22 +148,25 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """--n-range/--l-range: "lo:hi", inclusive, with 1 <= lo <= hi."""
     lo, _, hi = text.partition(":")
-    if not lo or not hi:
-        return range(0)
-    return range(int(lo), int(hi) + 1)
+    try:
+        bounds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        bounds = range(0)
+    if not bounds or bounds.start < 1:
+        raise argparse.ArgumentTypeError(f"expected lo:hi with 1 <= lo <= hi, got {text!r}")
+    return bounds
 
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     spec = SequenceSpec.from_dict(config["spec"])
-    n_range = _parse_range(args.n_range)
-    l_range = _parse_range(args.l_range)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"])
-    for N in n_range:
-        for L in l_range:
+    for N in args.n_range:
+        for L in args.l_range:
             verdict = classify(ProcessParams(N=N, L=L, spec=spec))
             if spec.has_overrides:
                 min_e = min_f = ""
@@ -188,7 +182,7 @@ def cmd_sweep(args) -> int:
             ])
     _write_out(buf.getvalue(), args.out)
     _append_record(args.store, "sweep", config,
-                   {"rows": len(n_range) * len(l_range)})
+                   {"rows": len(args.n_range) * len(args.l_range)})
     return EXIT_OK
 
 
@@ -261,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["simulate"].add_argument("--trials", type=int, default=None)
     sub.choices["simulate"].add_argument("--horizon", type=int, default=None)
     sub.choices["simulate"].add_argument("--profile", default=None)
-    sub.choices["sweep"].add_argument("--n-range", required=True)
-    sub.choices["sweep"].add_argument("--l-range", required=True)
+    sub.choices["sweep"].add_argument("--n-range", type=_parse_range, required=True)
+    sub.choices["sweep"].add_argument("--l-range", type=_parse_range, required=True)
     return parser
 
 

@@ -28,6 +28,7 @@ from .sequences import SequenceSpec
 ENUMERATION_MAX_STEPS = 20  # 2^L guard for the brute-force oracle
 _DP_CELLS = 1 << 14         # mass cells of one batched DP: sets the blocks per chunk
 _LDEXP_MAX = 2200           # 2^2200 * (smallest subnormal) already exceeds 1
+_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of one block query: about its DP cell updates
 
 
 def f(j: int, L: int | None = None) -> int:
@@ -218,10 +219,15 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     chunks; for each position j one batched DP covers the chunk's sites n + j,
     and each q_i comes from spec.value once per chunk.  A walk that fails
     raises when its block is reached, so the first error is the one a
-    block-by-block, position-by-position loop meets first.
+    block-by-block, position-by-position loop meets first.  A query of more
+    than _DP_WORK_MAX blocks * L^3 is refused before any q is formed.
     """
     if start < 0:
         raise OutOfRangeError(f"block index must be >= 0, got {start}")
+    blocks = max(stop - start, 0)
+    if blocks * L**3 > _DP_WORK_MAX:
+        raise TooLargeError(
+            f"{blocks} blocks at L={L}: blocks*L^3 = {blocks * L**3} exceeds {_DP_WORK_MAX}")
     size = max(1, _DP_CELLS // (2 * max(L, 1)))
     for first in range(start, stop, size):
         B = min(stop, first + size) - first
@@ -314,15 +320,7 @@ class ReachRow:
     partial_product: float
 
 
-@dataclass(frozen=True)
-class ReachTable:
-    spec: SequenceSpec
-    N: int
-    L: int
-    rows: tuple[ReachRow, ...]
-
-
-def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> ReachTable:
+def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> tuple[ReachRow, ...]:
     """Rows n = 0..n_max with a_n, its sandwich bounds, and the running product."""
     if N < 1 or L < 1:
         raise OutOfRangeError(f"need N >= 1 and L >= 1, got N={N}, L={L}")
@@ -333,4 +331,4 @@ def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> ReachTa
             raise BoundViolationError(f"sandwich violated at n={n}: {lower} {an} {upper}")
         prod *= 1.0 - an
         rows.append(ReachRow(n=n, a_n=an, lower=lower, upper=upper, partial_product=prod))
-    return ReachTable(spec=spec, N=N, L=L, rows=tuple(rows))
+    return tuple(rows)

@@ -25,7 +25,6 @@ profile from the same run (activation_profile), so one command is one MC pass.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -130,16 +129,16 @@ class ActivationProfile:
     lower_curve: np.ndarray      # telescoping bound, nan where undefined
 
 
-def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k, n: int, level: float = 0.95):
+    """Wilson score interval for k successes in n trials; k is one count or an array."""
     z = NormalDist().inv_cdf(0.5 + level / 2)
     if n == 0:
         return 0.0, 1.0
-    phat = k / n
+    phat = np.asarray(k) / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
 def _left_thresholds(q: np.ndarray) -> np.ndarray:
@@ -202,20 +201,19 @@ def _frontiers(thresholds: np.ndarray, N: int, L: int, seed: int,
     return frontier
 
 
-def _check_budget(cfg: SimConfig, budget: int) -> int:
+def _check_budget(cfg: SimConfig) -> int:
     S = cfg.horizon + cfg.params.L
     work = cfg.trials * S * cfg.params.N * cfg.params.L
-    if work > budget:
+    if work > DEFAULT_WORK_BUDGET:
         raise ResourceLimitError(
-            f"trials*sites*N*L = {work} exceeds the work budget {budget}"
+            f"trials*sites*N*L = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
         )
     return S
 
 
-def run_trials(cfg: SimConfig, threads: int = 1,
-               budget: int = DEFAULT_WORK_BUDGET) -> np.ndarray:
+def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
-    S = _check_budget(cfg, budget)
+    S = _check_budget(cfg)
     N, L = cfg.params.N, cfg.params.L
     thresholds = _left_thresholds(cfg.params.spec.values(1, S + 1))
     per_trial = min(_BLOCK, S) * N * L
@@ -240,13 +238,12 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     return min(h, M), frozenset(range(1, h + 1))
 
 
-def estimate_survival(cfg: SimConfig, threads: int = 1,
-                      budget: int = DEFAULT_WORK_BUDGET) -> SimResult:
+def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
     """Survival-to-horizon estimate with a Wilson interval, plus per-site counts."""
     M = cfg.horizon
-    frontiers = run_trials(cfg, threads=threads, budget=budget)
+    frontiers = run_trials(cfg, threads=threads)
     survived = int(np.sum(frontiers >= M))
-    lo, hi = wilson_interval(survived, cfg.trials, cfg.ci_level)
+    lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
     hist = np.bincount(np.minimum(frontiers, M), minlength=M + 1)
     # E_i holds iff the frontier reached at least i
     site_counts = np.cumsum(hist[::-1])[::-1][1:]
@@ -277,10 +274,8 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     M, L = cfg.horizon, cfg.params.L
     n_trials = cfg.trials
     p = result.site_counts / n_trials
-    half = np.array([
-        (lambda iv: (iv[1] - iv[0]) / 2)(wilson_interval(int(k), n_trials, cfg.ci_level))
-        for k in result.site_counts
-    ])
+    lo, hi = wilson_interval(result.site_counts, n_trials, cfg.ci_level)
+    half = (hi - lo) / 2
     curve = np.full(M, np.nan)
     if L + 1 <= M:
         # sites n+L+1 = L+2..M for blocks n = 1..M-L-1, anchored at P(E_{L+1})
@@ -292,7 +287,6 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     )
 
 
-def estimate_activation_profile(cfg: SimConfig, threads: int = 1,
-                                budget: int = DEFAULT_WORK_BUDGET) -> ActivationProfile:
+def estimate_activation_profile(cfg: SimConfig, threads: int = 1) -> ActivationProfile:
     """Run the MC for `cfg` and return its activation profile."""
-    return activation_profile(estimate_survival(cfg, threads=threads, budget=budget))
+    return activation_profile(estimate_survival(cfg, threads=threads))

@@ -11,7 +11,6 @@ numeric partial sums.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -132,14 +131,32 @@ class ConstantForm:
 PrimitiveForm = Union[PowerLaw, LogInverse, ConstantForm]
 
 
+def config_number(key: str, value, kind=int):
+    """The value of config key `key` as an int or a float (`kind`).
+
+    A value that is no number, or a fractional one for an int (1.5, where 2.0
+    and "2" are fine), raises MalformedConfigError.  A string that `kind`
+    cannot parse raises its ValueError.
+    """
+    try:
+        out = kind(value)
+    except (TypeError, OverflowError) as exc:
+        raise MalformedConfigError(
+            f"config key {key!r} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and out != value:
+        raise MalformedConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return out
+
+
 def form_from_dict(d: dict) -> PrimitiveForm:
     if not isinstance(d, dict):
         raise MalformedConfigError(f"a form must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "power":
-        return PowerLaw(c=float(d["c"]), alpha=float(d["alpha"]), offset=int(d.get("offset", 0)))
+        return PowerLaw(c=float(d["c"]), alpha=float(d["alpha"]),
+                        offset=config_number("offset", d.get("offset", 0)))
     if kind == "loginv":
-        return LogInverse(c=float(d["c"]), offset=int(d.get("offset", 2)))
+        return LogInverse(c=float(d["c"]), offset=config_number("offset", d.get("offset", 2)))
     if kind == "const":
         return ConstantForm(q=float(d["q"]))
     raise MalformedConfigError(f"unknown form kind {kind!r}")
@@ -298,33 +315,27 @@ class SequenceSpec:
             "overrides": [ov.to_dict() for ov in self.overrides],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceSpec":
         try:
-            k = int(d["modulus"])
+            k = config_number("modulus", d["modulus"])
             if k < 1:
                 raise MalformedConfigError(f"modulus must be >= 1, got {k}")
-            entries = sorted(d["residues"], key=lambda e: int(e["r"]))
-            if len(entries) != k or [int(e["r"]) for e in entries] != list(range(k)):
+            entries = sorted(((config_number("r", e["r"]), e) for e in d["residues"]),
+                             key=lambda entry: entry[0])
+            if len(entries) != k or [r for r, _ in entries] != list(range(k)):
                 raise MalformedConfigError(f"residues must cover 0..{k - 1} exactly once")
-            forms = tuple(form_from_dict(e["form"]) for e in entries)
+            forms = tuple(form_from_dict(e["form"]) for _, e in entries)
             overrides = tuple(
                 SparseOverride(
-                    a=int(o["a"]), b=int(o["b"]), j0=int(o.get("j0", 1)),
-                    form=form_from_dict(o["form"]),
+                    a=config_number("a", o["a"]), b=config_number("b", o["b"]),
+                    j0=config_number("j0", o.get("j0", 1)), form=form_from_dict(o["form"]),
                 )
                 for o in d.get("overrides", [])
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedConfigError(f"malformed spec object: {exc}") from exc
         return cls(modulus=k, residue_forms=forms, overrides=overrides)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SequenceSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def single(form: PrimitiveForm) -> SequenceSpec:

@@ -1,9 +1,15 @@
-"""Reference oracle for the Monte Carlo frontier scan.
+"""Reference oracles for the Monte Carlo layer.
 
-This is the unblocked scan: it hashes every (trial, site, particle, step) of
-all S tracked sites and converts each hash to a float uniform.  The blocked,
-early-exit scan in `frogz.mc` must return the same frontiers.
+`unblocked_frontiers` is the unblocked scan: it hashes every (trial, site,
+particle, step) of all S tracked sites and converts each hash to a float
+uniform.  The blocked, early-exit scan in `frogz.mc` must return the same
+frontiers.  `wilson_interval` is the one-count-at-a-time Wilson interval in
+Python floats; `frogz.mc.wilson_interval` on an array of counts must match it
+bit for bit.
 """
+
+import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -40,3 +46,14 @@ def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
     stuck = prefix == idx[None, :]
     # the last tracked site is always "stuck" after clipping, so argmax is safe
     return 1 + np.argmax(stuck, axis=1)
+
+
+def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
+    z = NormalDist().inv_cdf(0.5 + level / 2)
+    if n == 0:
+        return 0.0, 1.0
+    phat = k / n
+    denom = 1 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return max(0.0, center - half), min(1.0, center + half)

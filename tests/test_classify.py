@@ -112,8 +112,10 @@ class TestSeriesTest:
         if n0 > 1:
             assert series_test(spec, n0 - 1, 3)[0] is Outcome.DIES_AS
 
-    def test_threshold_cap(self, const_spec):
-        assert survival_threshold_N(const_spec, L=2, cap=5) == INF
+    def test_threshold_cap(self, const_spec, monkeypatch):
+        import frogz.classify as classify_mod
+        monkeypatch.setattr(classify_mod, "DEFAULT_N_CAP", 5)
+        assert survival_threshold_N(const_spec, L=2) == INF
 
 
 class TestLargeNWindow:

@@ -154,7 +154,8 @@ class TestErrorExits:
         ({"p_grid": 5}, EXIT_BAD_CONFIG, "bad config: config key 'p_grid' must be a list, got 5"),
         ({"q_grid": [0.5, "x"]}, EXIT_INVALID_SPEC,
          "invalid input: could not convert string to float: 'x'"),
-        ({"N_grid": [1.5]}, EXIT_OK, ""),
+        ({"N_grid": [1.5]}, EXIT_BAD_CONFIG,
+         "bad config: config key 'N_grid' must be an integer, got 1.5"),
         ({"N_grid": [None]}, EXIT_BAD_CONFIG,
          "bad config: config key 'N_grid' must be a number, got None"),
         ({"q_grid": [[0.5]]}, EXIT_BAD_CONFIG,
@@ -179,10 +180,51 @@ class TestErrorExits:
             "walk_before_N", "N_before_walk", "N_unused"])
     def test_verify_grids(self, config_file, capsys, grids, code, message):
         # entries convert like scalar keys: a string is parsed as "N": "a" is,
-        # and 1.5 becomes 1 as "N": 1.5 does
+        # and 1.5 is rejected as "N": 1.5 is
         cfg = config_file(dict(grids, l_max=2))
         assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == code
         assert capsys.readouterr().err == (message + "\n" if message else "")
+
+    @pytest.mark.parametrize("command, payload, key, good", [
+        ("classify", lambda v: {"N": v, "L": 2, "spec": CONST_SPEC}, "N", 1),
+        ("classify", lambda v: {"N": 1, "L": v, "spec": CONST_SPEC}, "L", 2),
+        ("exact", lambda v: {"N": 1, "L": 2, "n_max": v, "spec": CONST_SPEC}, "n_max", 2),
+        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": v, "trials": 10},
+         "horizon", 20),
+        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": 20, "trials": v},
+         "trials", 10),
+        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": 20, "trials": 10,
+                                "seed": v}, "seed", 1),
+        ("verify", lambda v: {"l_max": v}, "l_max", 2),
+        ("verify", lambda v: {"l_max": 2, "N_grid": [1, v]}, "N_grid", 1),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, modulus=v)},
+         "modulus", 1),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
+            {"r": v, "form": {"kind": "const", "q": 0.5}}]}}, "r", 0),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
+            {"r": 0, "form": {"kind": "power", "c": 0.5, "alpha": 2, "offset": v}}]}},
+         "offset", 1),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
+            {"r": 0, "form": {"kind": "loginv", "c": 0.5, "offset": v}}]}}, "offset", 2),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
+            {"a": v, "b": 2, "form": {"kind": "const", "q": 0.25}}])}, "a", 1),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
+            {"a": 1, "b": v, "form": {"kind": "const", "q": 0.25}}])}, "b", 2),
+        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
+            {"a": 1, "b": 2, "j0": v, "form": {"kind": "const", "q": 0.25}}])}, "j0", 1),
+    ], ids=["N", "L", "n_max", "horizon", "trials", "seed", "l_max", "N_grid", "modulus", "r",
+            "power_offset", "loginv_offset", "override_a", "override_b", "override_j0"])
+    def test_fractional_integer_is_config_error(self, config_file, capsys, command, payload,
+                                                key, good):
+        # used to truncate: {"N": 1.9, "L": 2.7} printed the verdict of N = 1, L = 2
+        def run(value):
+            return main([command, "--config", config_file(payload(value)), "--out", "/dev/null"])
+
+        assert run(good + 0.5) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"bad config: config key {key!r} must be an integer, got {good + 0.5!r}\n"
+        for integral in (float(good), str(good)):
+            assert run(integral) == EXIT_OK
 
     def test_tiny_alpha_is_spec_error(self, config_file, capsys):
         # 1/alpha overflows, so m = floor(1/alpha) + 1 cannot be formed
@@ -215,6 +257,32 @@ class TestExactCommand:
         assert len(rows) == 6
         assert all(row["upper"] == "1.0" for row in rows)
 
+
+    def test_size_guard(self, config_file, capsys, monkeypatch):
+        # "L": 10**9 used to build 10^9 q values and was still running minutes later;
+        # spec.value raises here, so a missing guard fails at once
+        from frogz.sequences import SequenceSpec
+
+        class Reached(Exception):
+            pass
+
+        def reached(self, n):
+            raise Reached
+
+        monkeypatch.setattr(SequenceSpec, "value", reached)
+
+        def run(L, n_max):
+            cfg = config_file({"N": 1, "L": L, "n_max": n_max, "spec": CONST_SPEC})
+            return main(["exact", "--config", cfg, "--out", "/dev/null"])
+
+        for L, n_max in [(10**9, 0), (1000, 4)]:
+            assert run(L, n_max) == EXIT_INVALID_SPEC
+            work = (n_max + 1) * L**3
+            assert capsys.readouterr().err == (
+                f"refused: {n_max + 1} blocks at L={L}: blocks*L^3 = {work} exceeds 4000000000\n")
+        # 4 blocks at L = 1000 is the limit itself: the table starts
+        with pytest.raises(Reached):
+            run(1000, 3)
 
     def test_zero_lifetime_is_rejected(self, config_file, tmp_path, capsys):
         cfg = config_file({"N": 1, "L": 0, "n_max": 2, "spec": CONST_SPEC})
@@ -370,14 +438,20 @@ class TestSweepCommand:
         assert verdicts[("2", "2")] == "SurvivesWPP"
         assert verdicts[("1", "4")] == "SurvivesWPP"
 
-    def test_empty_range_header_only(self, config_file, tmp_path):
+    @pytest.mark.parametrize("flag", ["--n-range", "--l-range"])
+    @pytest.mark.parametrize("text", ["bogus", "5", "3:1", "0:2", ":2", "1:x"])
+    def test_bad_range_is_a_usage_error(self, config_file, tmp_path, capsys, text, flag):
+        # used to write a header-only CSV with exit 0 (or reach N = 0 and exit 2)
         cfg = config_file({"spec": MOD2_SPEC})
         out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--config", cfg, "--out", str(out),
-                   "--n-range", "bogus", "--l-range", "1:2"])
-        assert rc == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("N,L,outcome")
+        ranges = {"--n-range": "1:2", "--l-range": "1:2", flag: text}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(out),
+                  "--n-range", ranges["--n-range"], "--l-range", ranges["--l-range"]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected lo:hi with 1 <= lo <= hi, got {text!r}" in err
+        assert not out.exists()
 
     def test_spec_analysed_once(self, config_file, tmp_path):
         from frogz.sequences import L0_L1

@@ -155,17 +155,17 @@ class TestActivationProducts:
         assert 0 < vals[-1] < 1
 
     def test_table_structure(self, inv_square_spec):
-        table = build_reach_table(inv_square_spec, N=1, L=1, n_max=30)
-        assert [row.n for row in table.rows] == list(range(31))
-        for row in table.rows:
+        rows = build_reach_table(inv_square_spec, N=1, L=1, n_max=30)
+        assert [row.n for row in rows] == list(range(31))
+        for row in rows:
             assert 0 <= row.lower <= row.upper <= 1
             assert 0 < row.partial_product <= 1
-        prods = [row.partial_product for row in table.rows]
+        prods = [row.partial_product for row in rows]
         assert all(x >= y for x, y in zip(prods, prods[1:]))
 
     def test_table_upper_is_capped(self, const_spec):
-        table = build_reach_table(const_spec, N=1, L=4, n_max=10)
-        assert all(row.upper <= 1.0 for row in table.rows)
+        rows = build_reach_table(const_spec, N=1, L=4, n_max=10)
+        assert all(row.upper <= 1.0 for row in rows)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (1, -2), (0, 3)])
     def test_table_rejects_empty_block_or_no_particles(self, const_spec, N, L):
@@ -249,7 +249,7 @@ class TestBatchedTable:
     @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 10), n_max=st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
     def test_table_matches_oracle(self, spec, N, L, n_max):
-        got = outcome(lambda: build_reach_table(spec, N, L, n_max).rows)
+        got = outcome(lambda: build_reach_table(spec, N, L, n_max))
         assert got == outcome(oracle.reach_table_rows, spec, N, L, n_max)
 
     @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 6),

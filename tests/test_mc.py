@@ -22,7 +22,7 @@ from frogz.mc import (
     wilson_interval,
 )
 from frogz.sequences import ConstantForm, single
-from mc_oracle import unblocked_frontiers
+from mc_oracle import unblocked_frontiers, wilson_interval as wilson_oracle
 
 
 def make_cfg(spec, N=1, L=1, horizon=50, trials=200, seed=7):
@@ -48,10 +48,12 @@ class TestConfig:
         cfg = make_cfg(const_spec, trials=10, seed=2**64 - 1)
         assert len(run_trials(cfg)) == 10
 
-    def test_budget_guard(self, const_spec):
+    def test_budget_guard(self, const_spec, monkeypatch):
+        import frogz.mc as mc_mod
         cfg = make_cfg(const_spec, trials=1000, horizon=1000)
+        monkeypatch.setattr(mc_mod, "DEFAULT_WORK_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
-            run_trials(cfg, budget=10)
+            run_trials(cfg)
 
     def test_to_dict_round_trips_through_json(self, mod2_spec):
         cfg = make_cfg(mod2_spec, N=2, L=3, horizon=40)
@@ -80,6 +82,16 @@ class TestWilson:
         w95 = np.diff(wilson_interval(30, 100, 0.95))[0]
         w99 = np.diff(wilson_interval(30, 100, 0.99))[0]
         assert w99 > w95
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 20_000])
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_array_of_counts_matches_scalar_oracle(self, n, level):
+        # activation_profile passes every site's count at once
+        counts = np.unique(np.linspace(0, n, 201).astype(np.int64))
+        lo, hi = wilson_interval(counts, n, level)
+        want = [wilson_oracle(k, n, level) for k in counts.tolist()]
+        assert list(zip(lo.tolist(), hi.tolist())) == want
+        assert ((hi - lo) / 2).tolist() == [(h - l) / 2 for l, h in want]
 
 
 class TestDeterminism:
