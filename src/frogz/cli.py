@@ -1,7 +1,8 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
-Configs are JSON, outputs are CSV/JSONL.  Exit codes: 0 success, 1 malformed
-config, 2 invalid spec or guard refusal, 4 verification violation.
+Configs are JSON, outputs are CSV/JSONL; only `main` reads --config and writes
+--out and --store.  Exit codes: 0 success, 1 malformed config, 2 invalid spec
+or guard refusal, 4 verification violation.
 """
 
 from __future__ import annotations
@@ -16,29 +17,18 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .classify import ProcessParams, classify, min_alignment_exponent
-from .errors import (
-    BoundViolationError, FrogzError, InvalidSpecError, MalformedConfigError,
-    TooLargeError,
-)
+from .errors import BoundViolationError, FrogzError, MalformedConfigError, TooLargeError
 from .exact import (
-    ENUMERATION_MAX_STEPS, WalkLaw, bound_reports, brute_force_reach,
-    build_reach_table, reach_prob,
+    WalkLaw, bound_reports, brute_force_reach, build_reach_table, check_enumeration,
+    reach_prob,
 )
-from .mc import ActivationProfile, SimConfig, activation_profile, estimate_survival
+from .mc import ActivationProfile, SimConfig, activation_profile, check_profile, estimate_survival
 from .sequences import INF, ConstantForm, SequenceSpec, config_number, single
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_INVALID_SPEC = 2
 EXIT_VIOLATION = 4
-
-
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise MalformedConfigError(f"config must be a JSON object, got {type(config).__name__}")
-    return config
 
 
 def _config_num(cfg: dict, key: str, default=None, kind=int):
@@ -64,72 +54,39 @@ def _params_from_config(cfg: dict) -> ProcessParams:
         raise KeyError(f"missing config key {exc}") from exc
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(fh, header: list, rows):
+    """Write a header and rows to fh as CSV, each line ending in "\\n"; returns fh."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh
 
 
-def _append_record(store: str | None, subcommand: str, config: dict,
-                   result, **extra) -> None:
-    if not store:
-        return
-    record = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "subcommand": subcommand,
-        "config": config,
-        "result": result,
-        "version": __version__,
-        **extra,
-    }
-    with open(store, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+def cmd_classify(config: dict, args) -> tuple[str, dict, int]:
+    verdict = classify(_params_from_config(config)).to_dict()
+    return json.dumps(verdict, sort_keys=True) + "\n", {"result": verdict}, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from_config(config)
-    verdict = classify(params)
-    payload = json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
-    _write_out(payload, args.out)
-    _append_record(args.store, "classify", config, verdict.to_dict())
-    return EXIT_OK
-
-
-def cmd_exact(args) -> int:
-    config = _load_config(args.config)
+def cmd_exact(config: dict, args) -> tuple[str, dict, int]:
     spec = SequenceSpec.from_dict(config["spec"])
     N, L = _config_num(config, "N"), _config_num(config, "L")
     n_max = _config_num(config, "n_max", 50)
     rows = build_reach_table(spec, N, L, n_max)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "a_n", "lower", "upper", "partial_product"])
-    for row in rows:
-        writer.writerow([row.n, repr(row.a_n), repr(row.lower), repr(row.upper),
-                         repr(row.partial_product)])
-    _write_out(buf.getvalue(), args.out)
-    _append_record(args.store, "exact", config, {"rows": len(rows)})
-    return EXIT_OK
+    text = _csv(io.StringIO(), ["n", "a_n", "lower", "upper", "partial_product"], (
+        [row.n, repr(row.a_n), repr(row.lower), repr(row.upper), repr(row.partial_product)]
+        for row in rows)).getvalue()
+    return text, {"result": {"rows": len(rows)}}, EXIT_OK
 
 
 def _write_profile(profile: ActivationProfile, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["site", "p_hat_Ei", "ci_half", "lower_bound_curve"])
-        for i in range(len(profile.sites)):
-            lb = profile.lower_curve[i]
-            writer.writerow([
-                int(profile.sites[i]), repr(float(profile.p_hat[i])),
-                repr(float(profile.ci_half[i])),
-                "" if math.isnan(lb) else repr(float(lb)),
-            ])
+        _csv(fh, ["site", "p_hat_Ei", "ci_half", "lower_bound_curve"], (
+            [int(i), repr(float(p)), repr(float(h)), "" if math.isnan(lb) else repr(float(lb))]
+            for i, p, h, lb in zip(profile.sites, profile.p_hat, profile.ci_half,
+                                   profile.lower_curve)))
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     params = _params_from_config(config.get("params", config))
     horizon = args.horizon if args.horizon is not None else _config_num(config, "horizon", 0)
     trials = args.trials if args.trials is not None else _config_num(config, "trials", 0)
@@ -138,13 +95,14 @@ def cmd_simulate(args) -> int:
         params=params, horizon=horizon, trials=trials, seed=seed,
         ci_level=_config_num(config, "ci_level", 0.95, float),
     )
+    if args.profile:
+        check_profile(cfg)
     result = estimate_survival(cfg, threads=args.threads)
-    _write_out(result.to_jsonl(), args.out)
     if args.profile:
         _write_profile(activation_profile(result), args.profile)
-    _append_record(args.store, "simulate", cfg.to_dict(),
-                   result.aggregate_dict()["result"], seed=seed, work=result.work)
-    return EXIT_OK
+    record = {"config": cfg.to_dict(), "result": result.aggregate_dict()["result"],
+              "seed": seed, "work": result.work}
+    return result.to_jsonl(), record, EXIT_OK
 
 
 def _parse_range(text: str) -> range:
@@ -159,12 +117,9 @@ def _parse_range(text: str) -> range:
     return bounds
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
     spec = SequenceSpec.from_dict(config["spec"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"])
+    rows = []
     for N in args.n_range:
         for L in args.l_range:
             verdict = classify(ProcessParams(N=N, L=L, spec=spec))
@@ -173,25 +128,20 @@ def cmd_sweep(args) -> int:
             else:
                 _, best = min_alignment_exponent(spec, N, L)
                 min_e, min_f = repr(best.power_exp), best.log_exp
-            writer.writerow([
+            rows.append([
                 N, L, verdict.outcome.value,
                 "inf" if verdict.m == INF else verdict.m, verdict.b,
                 "inf" if verdict.L0 == INF else int(verdict.L0),
                 "inf" if verdict.L1 == INF else int(verdict.L1),
                 min_e, min_f,
             ])
-    _write_out(buf.getvalue(), args.out)
-    _append_record(args.store, "sweep", config,
-                   {"rows": len(args.n_range) * len(args.l_range)})
-    return EXIT_OK
+    header = ["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"]
+    return _csv(io.StringIO(), header, rows).getvalue(), {"result": {"rows": len(rows)}}, EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
     l_max = _config_num(config, "l_max", 8)
-    if l_max > ENUMERATION_MAX_STEPS:
-        sys.stderr.write(f"refusing oracle mode with L > {ENUMERATION_MAX_STEPS}\n")
-        return EXIT_INVALID_SPEC
+    check_enumeration(l_max)
     p_grid = _config_grid(config, "p_grid", [round(0.1 * i, 1) for i in range(1, 10)], float)
     q_grid = _config_grid(config, "q_grid", [0.1, 0.3, 0.5, 0.7, 0.9], float)
     n_grid = _config_grid(config, "N_grid", [1, 2, 3], int)
@@ -223,12 +173,10 @@ def cmd_verify(args) -> int:
                 else:
                     checked += L
     report = {"checked": checked, "failures": failures}
-    _write_out(json.dumps(report, sort_keys=True) + "\n", args.out)
-    _append_record(args.store, "verify", config, report)
     if failures:
         sys.stderr.write(f"{len(failures)} violations, first: {failures[0]}\n")
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return (json.dumps(report, sort_keys=True) + "\n", {"result": report},
+            EXIT_VIOLATION if failures else EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        config = {}
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise MalformedConfigError(
+                    f"config must be a JSON object, got {type(config).__name__}")
+        text, fields, code = args.fn(config, args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.store:
+            record = {"timestamp": datetime.now(timezone.utc).isoformat(),
+                      "subcommand": args.command, "config": config, "version": __version__,
+                      **fields}
+            with open(args.store, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        return code
     except (json.JSONDecodeError, KeyError, FileNotFoundError,
             MalformedConfigError) as exc:
         sys.stderr.write(f"bad config: {exc}\n")
@@ -271,7 +238,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_INVALID_SPEC
-    except (InvalidSpecError, FrogzError, ValueError) as exc:
+    except (FrogzError, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID_SPEC
 

@@ -18,12 +18,8 @@ class InvalidSpecError(FrogzError, ValueError):
 
 
 class TooLargeError(FrogzError, ValueError):
-    """A brute-force enumeration guard was exceeded."""
+    """A work guard refused a request before any of its work was done."""
 
 
 class BoundViolationError(FrogzError, AssertionError):
     """A mathematically guaranteed inequality failed; signals an implementation bug."""
-
-
-class ResourceLimitError(FrogzError, RuntimeError):
-    """A simulation request exceeds the configured work budget."""

@@ -138,6 +138,12 @@ def _path_counts(L: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, count.reshape(L + 1, L + 1).tolist()))
 
 
+def check_enumeration(L: int) -> None:
+    """Refuse a 2^L path enumeration beyond ENUMERATION_MAX_STEPS steps."""
+    if L > ENUMERATION_MAX_STEPS:
+        raise TooLargeError(f"enumeration guarded at L <= {ENUMERATION_MAX_STEPS}, got {L}")
+
+
 def brute_force_reach(law: WalkLaw, d: int):
     """Independent oracle for reach_prob: exhaustive 2^L path enumeration.
 
@@ -146,10 +152,7 @@ def brute_force_reach(law: WalkLaw, d: int):
     """
     if d < 1:
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
-    if law.steps > ENUMERATION_MAX_STEPS:
-        raise TooLargeError(
-            f"enumeration guarded at L <= {ENUMERATION_MAX_STEPS}, got {law.steps}"
-        )
+    check_enumeration(law.steps)
     L = law.steps
     if d > L:
         return 0.0
@@ -212,6 +215,13 @@ def _positions(columns: list[list], N: int, L: int):
         yield lower, miss, upper, bad
 
 
+def check_blocks(blocks: int, L: int) -> None:
+    """Refuse a query of more than _DP_WORK_MAX blocks * L^3."""
+    if blocks * L**3 > _DP_WORK_MAX:
+        raise TooLargeError(
+            f"{blocks} blocks at L={L}: blocks*L^3 = {blocks * L**3} exceeds {_DP_WORK_MAX}")
+
+
 def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order.
 
@@ -224,10 +234,7 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     """
     if start < 0:
         raise OutOfRangeError(f"block index must be >= 0, got {start}")
-    blocks = max(stop - start, 0)
-    if blocks * L**3 > _DP_WORK_MAX:
-        raise TooLargeError(
-            f"{blocks} blocks at L={L}: blocks*L^3 = {blocks * L**3} exceeds {_DP_WORK_MAX}")
+    check_blocks(stop - start, L)
     size = max(1, _DP_CELLS // (2 * max(L, 1)))
     for first in range(start, stop, size):
         B = min(stop, first + size) - first

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import exact
 from .classify import ProcessParams
-from .errors import OutOfRangeError, ResourceLimitError
+from .errors import OutOfRangeError, TooLargeError
 from .sequences import SequenceSpec
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # trials * (M+L) * N * L
@@ -205,7 +205,7 @@ def _check_budget(cfg: SimConfig) -> int:
     S = cfg.horizon + cfg.params.L
     work = cfg.trials * S * cfg.params.N * cfg.params.L
     if work > DEFAULT_WORK_BUDGET:
-        raise ResourceLimitError(
+        raise TooLargeError(
             f"trials*sites*N*L = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
         )
     return S
@@ -264,6 +264,17 @@ def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
     )
 
 
+def _profile_blocks(cfg: SimConfig) -> tuple[int, int]:
+    """Blocks [1, M-L) of the lower curve: block n bounds site n+L+1 = L+2..M."""
+    return 1, cfg.horizon - cfg.params.L
+
+
+def check_profile(cfg: SimConfig) -> None:
+    """Refuse, before any MC, a profile whose exact curve the exact layer would refuse."""
+    start, stop = _profile_blocks(cfg)
+    exact.check_blocks(stop - start, cfg.params.L)
+
+
 def activation_profile(result: SimResult) -> ActivationProfile:
     """Empirical P(E_i) per site of a finished run, with the telescoping lower-bound curve.
 
@@ -277,10 +288,9 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     lo, hi = wilson_interval(result.site_counts, n_trials, cfg.ci_level)
     half = (hi - lo) / 2
     curve = np.full(M, np.nan)
-    if L + 1 <= M:
-        # sites n+L+1 = L+2..M for blocks n = 1..M-L-1, anchored at P(E_{L+1})
-        an = exact.a_n_array(cfg.params.spec, cfg.params.N, L, 1, M - L)
-        curve[L + 1:] = p[L] * np.cumprod(1.0 - an)
+    # anchored at P(E_{L+1}); SimConfig's M > L makes that site tracked
+    an = exact.a_n_array(cfg.params.spec, cfg.params.N, L, *_profile_blocks(cfg))
+    curve[L + 1:] = p[L] * np.cumprod(1.0 - an)
     return ActivationProfile(
         config=cfg, sites=np.arange(1, M + 1), p_hat=p, ci_half=half,
         lower_curve=curve,

@@ -134,11 +134,13 @@ PrimitiveForm = Union[PowerLaw, LogInverse, ConstantForm]
 def config_number(key: str, value, kind=int):
     """The value of config key `key` as an int or a float (`kind`).
 
-    A value that is no number, or a fractional one for an int (1.5, where 2.0
-    and "2" are fine), raises MalformedConfigError.  A string that `kind`
-    cannot parse raises its ValueError.
+    A value that is no number (a JSON boolean included), or a fractional one
+    for an int (1.5, where 2.0 and "2" are fine), raises MalformedConfigError.
+    A string that `kind` cannot parse raises its ValueError.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = kind(value)
     except (TypeError, OverflowError) as exc:
         raise MalformedConfigError(
@@ -153,12 +155,14 @@ def form_from_dict(d: dict) -> PrimitiveForm:
         raise MalformedConfigError(f"a form must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "power":
-        return PowerLaw(c=float(d["c"]), alpha=float(d["alpha"]),
+        return PowerLaw(c=config_number("c", d["c"], float),
+                        alpha=config_number("alpha", d["alpha"], float),
                         offset=config_number("offset", d.get("offset", 0)))
     if kind == "loginv":
-        return LogInverse(c=float(d["c"]), offset=config_number("offset", d.get("offset", 2)))
+        return LogInverse(c=config_number("c", d["c"], float),
+                          offset=config_number("offset", d.get("offset", 2)))
     if kind == "const":
-        return ConstantForm(q=float(d["q"]))
+        return ConstantForm(q=config_number("q", d["q"], float))
     raise MalformedConfigError(f"unknown form kind {kind!r}")
 
 

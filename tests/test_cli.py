@@ -28,6 +28,66 @@ MOD2_SPEC = {
 CONST_SPEC = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.5}}]}
 
 
+def _form_spec(form):
+    """A modulus-1 spec of one form."""
+    return {"modulus": 1, "residues": [{"r": 0, "form": form}]}
+
+
+def _sim(**keys):
+    """A small simulate config with some keys replaced."""
+    return dict({"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": 20, "trials": 10}, **keys)
+
+
+def _with_override(**keys):
+    """CONST_SPEC with one override, some of its keys replaced."""
+    return dict(CONST_SPEC, overrides=[dict({"a": 1, "b": 2, "form": {"kind": "const", "q": 0.25}},
+                                            **keys)])
+
+
+# (command, the config with value v at the key, the key, a good value) for
+# every integer config key and spec field
+_INT_KEYS = [
+    pytest.param("classify", lambda v: {"N": v, "L": 2, "spec": CONST_SPEC}, "N", 1, id="N"),
+    pytest.param("classify", lambda v: {"N": 1, "L": v, "spec": CONST_SPEC}, "L", 2, id="L"),
+    pytest.param("exact", lambda v: {"N": 1, "L": 2, "n_max": v, "spec": CONST_SPEC}, "n_max", 2,
+                 id="n_max"),
+    pytest.param("simulate", lambda v: _sim(horizon=v), "horizon", 20, id="horizon"),
+    pytest.param("simulate", lambda v: _sim(trials=v), "trials", 10, id="trials"),
+    pytest.param("simulate", lambda v: _sim(seed=v), "seed", 1, id="seed"),
+    pytest.param("verify", lambda v: {"l_max": v}, "l_max", 2, id="l_max"),
+    pytest.param("verify", lambda v: {"l_max": 2, "N_grid": [1, v]}, "N_grid", 1, id="N_grid"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, modulus=v)},
+                 "modulus", 1, id="modulus"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
+        {"r": v, "form": {"kind": "const", "q": 0.5}}]}}, "r", 0, id="r"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "power", "c": 0.5, "alpha": 2, "offset": v})}, "offset", 1, id="power_offset"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "loginv", "c": 0.5, "offset": v})}, "offset", 2, id="loginv_offset"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _with_override(a=v)}, "a", 1,
+                 id="override_a"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _with_override(b=v)}, "b", 2,
+                 id="override_b"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _with_override(j0=v)}, "j0", 1,
+                 id="override_j0"),
+]
+# the same for every float config key and spec field
+_FLOAT_KEYS = [
+    pytest.param("simulate", lambda v: _sim(ci_level=v), "ci_level", 0.9, id="ci_level"),
+    pytest.param("verify", lambda v: {"l_max": 2, "p_grid": [v]}, "p_grid", 0.5, id="p_grid"),
+    pytest.param("verify", lambda v: {"l_max": 2, "q_grid": [0.5, v]}, "q_grid", 0.5,
+                 id="q_grid"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "power", "c": v, "alpha": 2, "offset": 1})}, "c", 0.5, id="power_c"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "power", "c": 0.5, "alpha": v, "offset": 1})}, "alpha", 2, id="power_alpha"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "loginv", "c": v, "offset": 2})}, "c", 0.5, id="loginv_c"),
+    pytest.param("classify", lambda v: {"N": 1, "L": 2, "spec": _form_spec(
+        {"kind": "const", "q": v})}, "q", 0.5, id="const_q"),
+]
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(payload, name="config.json"):
@@ -185,35 +245,7 @@ class TestErrorExits:
         assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == code
         assert capsys.readouterr().err == (message + "\n" if message else "")
 
-    @pytest.mark.parametrize("command, payload, key, good", [
-        ("classify", lambda v: {"N": v, "L": 2, "spec": CONST_SPEC}, "N", 1),
-        ("classify", lambda v: {"N": 1, "L": v, "spec": CONST_SPEC}, "L", 2),
-        ("exact", lambda v: {"N": 1, "L": 2, "n_max": v, "spec": CONST_SPEC}, "n_max", 2),
-        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": v, "trials": 10},
-         "horizon", 20),
-        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": 20, "trials": v},
-         "trials", 10),
-        ("simulate", lambda v: {"N": 1, "L": 2, "spec": CONST_SPEC, "horizon": 20, "trials": 10,
-                                "seed": v}, "seed", 1),
-        ("verify", lambda v: {"l_max": v}, "l_max", 2),
-        ("verify", lambda v: {"l_max": 2, "N_grid": [1, v]}, "N_grid", 1),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, modulus=v)},
-         "modulus", 1),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
-            {"r": v, "form": {"kind": "const", "q": 0.5}}]}}, "r", 0),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
-            {"r": 0, "form": {"kind": "power", "c": 0.5, "alpha": 2, "offset": v}}]}},
-         "offset", 1),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": {"modulus": 1, "residues": [
-            {"r": 0, "form": {"kind": "loginv", "c": 0.5, "offset": v}}]}}, "offset", 2),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
-            {"a": v, "b": 2, "form": {"kind": "const", "q": 0.25}}])}, "a", 1),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
-            {"a": 1, "b": v, "form": {"kind": "const", "q": 0.25}}])}, "b", 2),
-        ("classify", lambda v: {"N": 1, "L": 2, "spec": dict(CONST_SPEC, overrides=[
-            {"a": 1, "b": 2, "j0": v, "form": {"kind": "const", "q": 0.25}}])}, "j0", 1),
-    ], ids=["N", "L", "n_max", "horizon", "trials", "seed", "l_max", "N_grid", "modulus", "r",
-            "power_offset", "loginv_offset", "override_a", "override_b", "override_j0"])
+    @pytest.mark.parametrize("command, payload, key, good", _INT_KEYS)
     def test_fractional_integer_is_config_error(self, config_file, capsys, command, payload,
                                                 key, good):
         # used to truncate: {"N": 1.9, "L": 2.7} printed the verdict of N = 1, L = 2
@@ -225,6 +257,18 @@ class TestErrorExits:
         assert err == f"bad config: config key {key!r} must be an integer, got {good + 0.5!r}\n"
         for integral in (float(good), str(good)):
             assert run(integral) == EXIT_OK
+
+    @pytest.mark.parametrize("command, payload, key, good", _INT_KEYS + _FLOAT_KEYS)
+    def test_boolean_is_config_error(self, config_file, capsys, command, payload, key, good):
+        # int(True) is 1: {"N": true} used to print the verdict of N = 1
+        def run(value):
+            return main([command, "--config", config_file(payload(value)), "--out", "/dev/null"])
+
+        for value in (True, False):
+            assert run(value) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert err == f"bad config: config key {key!r} must be a number, got {value!r}\n"
+        assert run(good) == EXIT_OK
 
     def test_tiny_alpha_is_spec_error(self, config_file, capsys):
         # 1/alpha overflows, so m = floor(1/alpha) + 1 cannot be formed
@@ -360,6 +404,61 @@ class TestSimulateCommand:
         ref = tmp_path / "reference.csv"
         cli_mod._write_profile(mc_mod.estimate_activation_profile(sim), str(ref))
         assert prof.read_bytes() == ref.read_bytes()
+
+    def test_profile_guard_refuses_before_the_mc(self, config_file, tmp_path, capsys,
+                                                 monkeypatch):
+        # horizon 10^6 at L = 100 used to run the MC for seconds, write the JSONL
+        # and only then refuse the profile's exact curve
+        import frogz.mc as mc_mod
+
+        class Reached(Exception):
+            pass
+
+        calls = []
+
+        def reached(*args, **kwargs):
+            calls.append(args)
+            raise Reached
+
+        monkeypatch.setattr(mc_mod, "run_trials", reached)
+        out, prof, store = tmp_path / "sim.jsonl", tmp_path / "profile.csv", tmp_path / "runs"
+
+        def run(horizon):
+            cfg = config_file({"N": 1, "L": 100, "spec": CONST_SPEC, "horizon": horizon,
+                               "trials": 1})
+            return main(["simulate", "--config", cfg, "--out", str(out), "--profile", str(prof),
+                         "--store", str(store)])
+
+        # the curve covers blocks 1..M-L-1: 4000 blocks * 100^3 is the limit itself
+        for horizon in (10**6, 4102):
+            assert run(horizon) == EXIT_INVALID_SPEC
+            blocks = horizon - 101
+            assert capsys.readouterr().err == (f"refused: {blocks} blocks at L=100: blocks*L^3 = "
+                                               f"{blocks * 100**3} exceeds 4000000000\n")
+        assert calls == []
+        assert not out.exists() and not prof.exists() and not store.exists()
+        with pytest.raises(Reached):
+            run(4101)
+        assert len(calls) == 1
+
+    def test_budget_refusal(self, config_file, tmp_path, capsys):
+        cfg = config_file(_sim(horizon=10**6, trials=10**4))
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        work = 10**4 * (10**6 + 2) * 2
+        assert capsys.readouterr().err == (
+            f"refused: trials*sites*N*L = {work} exceeds the work budget 4000000000\n")
+        assert not out.exists()
+
+    def test_profile_into_missing_directory_writes_nothing(self, config_file, tmp_path, capsys):
+        # the JSONL used to be written before the profile failed
+        out, store = tmp_path / "sim.jsonl", tmp_path / "runs.jsonl"
+        prof = tmp_path / "missing" / "profile.csv"
+        rc = main(["simulate", "--config", config_file(_sim()), "--out", str(out),
+                   "--profile", str(prof), "--store", str(store)])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("bad config: [Errno 2] No such file")
+        assert not out.exists() and not store.exists()
 
     def test_profile_csv(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 1, "spec": {
@@ -520,9 +619,12 @@ class TestVerifyCommand:
         assert report["checked"] == 2 * 2 * (1 + 2 + 3)  # q = 0.1 and q = 0.9 pass
         assert capsys.readouterr().err.startswith(f"12 violations, first: {tuple(want[0])}")
 
-    def test_oracle_guard_refused(self, config_file):
+    def test_oracle_guard_refused(self, config_file, tmp_path, capsys):
         cfg = config_file({"l_max": 25})
-        assert main(["verify", "--config", cfg]) == EXIT_INVALID_SPEC
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "refused: enumeration guarded at L <= 20, got 25\n"
+        assert not out.exists()
 
     def test_violation_exit(self, config_file, tmp_path, monkeypatch):
         import frogz.cli as cli_mod
@@ -558,6 +660,34 @@ class TestStore:
         records = [json.loads(line) for line in store.read_text().splitlines()]
         assert [("seed" in rec) for rec in records] == [False] * 4 + [True]
         assert records[-1]["seed"] == 6
+
+    def test_record_keys(self, config_file, tmp_path):
+        cfg = config_file({"N": 1, "L": 2, "n_max": 2, "spec": MOD2_SPEC,
+                           "horizon": 5, "trials": 4, "l_max": 2})
+        store = tmp_path / "runs.jsonl"
+        commands = {"classify": [], "exact": [], "simulate": [],
+                    "sweep": ["--n-range", "1:1", "--l-range", "1:1"], "verify": []}
+        for name, flags in commands.items():
+            rc = main([name, *flags, "--config", cfg, "--out", "/dev/null", "--store", str(store)])
+            assert rc == EXIT_OK
+        records = {rec["subcommand"]: rec
+                   for rec in map(json.loads, store.read_text().splitlines())}
+        assert list(records) == list(commands)
+        keys = ["config", "result", "subcommand", "timestamp", "version"]
+        assert {name: sorted(rec) for name, rec in records.items()} == dict(
+            {name: keys for name in commands}, simulate=sorted(keys + ["seed", "work"]))
+        assert {name: sorted(rec["result"]) for name, rec in records.items()} == {
+            "classify": ["outcome", "trace", "values"],
+            "exact": ["rows"],
+            "simulate": ["ci_high", "ci_low", "max_site_max", "max_site_mean", "p_hat",
+                         "survival_count", "trials"],
+            "sweep": ["rows"],
+            "verify": ["checked", "failures"],
+        }
+        # simulate records its resolved config, the others the file they read
+        assert sorted(records["simulate"]["config"]) == [
+            "ci_level", "horizon", "params", "seed", "trials"]
+        assert records["classify"]["config"] == json.loads(Path(cfg).read_text())
 
     def test_simulate_records_work(self, config_file, tmp_path):
         # q = 0.95 everywhere: every frontier dies inside the first 64-site block
@@ -638,21 +768,27 @@ _config = _mostly(st.fixed_dictionaries({"N": _int, "L": _int, "spec": _spec()})
 _DOCUMENTED = {EXIT_OK, EXIT_BAD_CONFIG, EXIT_INVALID_SPEC, EXIT_VIOLATION}
 
 
-def _exit_code(argv, config):
+def _exit_code(argv, config, profile=False):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
+        if profile:
+            argv = argv + ["--profile", str(Path(tmp) / "profile.csv")]
         return main(argv + ["--config", str(path), "--out", str(Path(tmp) / "out")])
 
 
+# the keys that set the size of a job, with the largest value an example keeps
+_CAPS = {"L": 6, "n_max": 6, "l_max": 6, "trials": 50, "horizon": 40}
+
+
 def _small_job(config):
-    """L, n_max and l_max set the size of the job, and a large one is valid
-    input: cap them so that every example stays small."""
+    """A large job is valid input: above its cap, a size key is halved to its
+    cap, so that every example stays small."""
     if isinstance(config, dict):
-        for key in ("L", "n_max", "l_max"):
+        for key, cap in _CAPS.items():
             try:
-                if int(config[key]) > 6:
-                    config[key] = 3
+                if int(config[key]) > cap:
+                    config[key] = cap // 2
             except (KeyError, TypeError, ValueError, OverflowError):
                 pass
     return config
@@ -680,3 +816,12 @@ class TestAnyConfig:
     @settings(max_examples=100, deadline=None)
     def test_documented_exit_code_verify(self, config):
         assert _exit_code(["verify"], _small_job(config)) in _DOCUMENTED
+
+    @given(config=_mostly(st.fixed_dictionaries(
+        {"N": _int, "L": _int, "spec": _spec(),
+         "horizon": _mostly(st.integers(1, 60)), "trials": _mostly(st.integers(1, 80))},
+        optional={"seed": _mostly(st.integers(0, 2**64 - 1)),
+                  "ci_level": _mostly(st.floats(0.5, 0.99))})), profile=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_documented_exit_code_simulate(self, config, profile):
+        assert _exit_code(["simulate"], _small_job(config), profile) in _DOCUMENTED

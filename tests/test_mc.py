@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogz.classify import ProcessParams
-from frogz.errors import OutOfRangeError, ResourceLimitError
+from frogz.errors import OutOfRangeError, TooLargeError
 from frogz.exact import partial_survival_product
 from frogz.mc import (
     _BLOCK,
@@ -52,7 +52,7 @@ class TestConfig:
         import frogz.mc as mc_mod
         cfg = make_cfg(const_spec, trials=1000, horizon=1000)
         monkeypatch.setattr(mc_mod, "DEFAULT_WORK_BUDGET", 10)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(TooLargeError):
             run_trials(cfg)
 
     def test_to_dict_round_trips_through_json(self, mod2_spec):
