@@ -111,7 +111,7 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
     constant factor and drop out.  Ties in E are broken by smaller F, which
     dominates divergence.
     """
-    if spec.has_overrides:
+    if spec.overrides:
         raise InvalidSpecError("alignment exponents are undefined with sparse overrides")
     try:
         float(N)
@@ -205,7 +205,7 @@ def applicable_rules(params: ProcessParams) -> dict[str, Outcome]:
     """
     values = _spec_values(params.spec, params.N, params.L)
     fired = {rule: outcome for rule, holds, outcome, _ in _RULES if holds(values, params.L)}
-    if not fired and not params.spec.has_overrides:
+    if not fired and not params.spec.overrides:
         fired["R7"] = series_test(params.spec, params.N, params.L)[0]
     return fired
 
@@ -219,7 +219,7 @@ def classify(params: ProcessParams) -> Verdict:
             entry = TraceEntry(rule, note, values)
             break
     else:
-        if params.spec.has_overrides:
+        if params.spec.overrides:
             # R8: L0 <= L < L1 holds once R5 and R6 have failed, and a
             # bounded-gap summable-power subsequence gives survival for large N.
             outcome = Outcome.SURVIVES_FOR_LARGE_N

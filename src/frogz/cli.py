@@ -1,13 +1,14 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
 Configs are JSON, outputs are CSV/JSONL; only `main` reads --config and writes
---out and --store.  Exit codes: 0 success, 1 malformed config, 2 invalid spec
-or guard refusal, 4 verification violation.
+--out and --store.  Exit codes: 0 success, 1 malformed config or a file that
+cannot be opened, 2 invalid spec or guard refusal, 4 verification violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -45,13 +46,8 @@ def _config_grid(cfg: dict, key: str, default: list, kind) -> list:
 
 
 def _params_from_config(cfg: dict) -> ProcessParams:
-    if not isinstance(cfg, dict):
-        raise MalformedConfigError(f"params must be a JSON object, got {type(cfg).__name__}")
-    try:
-        spec = SequenceSpec.from_dict(cfg["spec"])
-        return ProcessParams(N=_config_num(cfg, "N"), L=_config_num(cfg, "L"), spec=spec)
-    except KeyError as exc:
-        raise KeyError(f"missing config key {exc}") from exc
+    spec = SequenceSpec.from_dict(cfg["spec"])
+    return ProcessParams(N=_config_num(cfg, "N"), L=_config_num(cfg, "L"), spec=spec)
 
 
 def _csv(fh, header: list, rows):
@@ -87,7 +83,7 @@ def _write_profile(profile: ActivationProfile, path: str) -> None:
 
 
 def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
-    params = _params_from_config(config.get("params", config))
+    params = _params_from_config(config)
     horizon = args.horizon if args.horizon is not None else _config_num(config, "horizon", 0)
     trials = args.trials if args.trials is not None else _config_num(config, "trials", 0)
     seed = args.seed if args.seed is not None else _config_num(config, "seed", 0)
@@ -100,9 +96,9 @@ def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     result = estimate_survival(cfg, threads=args.threads)
     if args.profile:
         _write_profile(activation_profile(result), args.profile)
-    record = {"config": cfg.to_dict(), "result": result.aggregate_dict()["result"],
-              "seed": seed, "work": result.work}
-    return result.to_jsonl(), record, EXIT_OK
+    summary = result.aggregate_dict()
+    return (json.dumps(summary, sort_keys=True) + "\n",
+            {**summary, "seed": seed, "work": result.work}, EXIT_OK)
 
 
 def _parse_range(text: str) -> range:
@@ -117,13 +113,24 @@ def _parse_range(text: str) -> range:
     return bounds
 
 
+def _positive_int(text: str) -> int:
+    """--threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
     spec = SequenceSpec.from_dict(config["spec"])
     rows = []
     for N in args.n_range:
         for L in args.l_range:
             verdict = classify(ProcessParams(N=N, L=L, spec=spec))
-            if spec.has_overrides:
+            if spec.overrides:
                 min_e = min_f = ""
             else:
                 _, best = min_alignment_exponent(spec, N, L)
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", default=None)
         p.set_defaults(fn=fn)
     sub.choices["simulate"].add_argument("--seed", type=int, default=None)
-    sub.choices["simulate"].add_argument("--threads", type=int, default=1)
+    sub.choices["simulate"].add_argument("--threads", type=_positive_int, default=1)
     sub.choices["simulate"].add_argument("--trials", type=int, default=None)
     sub.choices["simulate"].add_argument("--horizon", type=int, default=None)
     sub.choices["simulate"].add_argument("--profile", default=None)
@@ -219,21 +226,25 @@ def main(argv=None) -> int:
                 raise MalformedConfigError(
                     f"config must be a JSON object, got {type(config).__name__}")
         text, fields, code = args.fn(config, args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        if args.store:
-            record = {"timestamp": datetime.now(timezone.utc).isoformat(),
-                      "subcommand": args.command, "config": config, "version": __version__,
-                      **fields}
-            with open(args.store, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with contextlib.ExitStack() as files:
+            # both files open before either is written: one that cannot be opened leaves neither
+            store = args.store and files.enter_context(open(args.store, "a", encoding="utf-8"))
+            out = args.out and files.enter_context(open(args.out, "w", encoding="utf-8"))
+            (out or sys.stdout).write(text)
+            if store:
+                record = {"timestamp": datetime.now(timezone.utc).isoformat(),
+                          "subcommand": args.command, "config": config, "version": __version__,
+                          **fields}
+                store.write(json.dumps(record, sort_keys=True) + "\n")
         return code
-    except (json.JSONDecodeError, KeyError, FileNotFoundError,
-            MalformedConfigError) as exc:
+    except KeyError as exc:
+        sys.stderr.write(f"bad config: missing config key {exc}\n")
+        return EXIT_BAD_CONFIG
+    except (json.JSONDecodeError, MalformedConfigError) as exc:
         sys.stderr.write(f"bad config: {exc}\n")
+        return EXIT_BAD_CONFIG
+    except OSError as exc:
+        sys.stderr.write(f"cannot open {exc.filename}: {exc.strerror}\n")
         return EXIT_BAD_CONFIG
     except TooLargeError as exc:
         sys.stderr.write(f"refused: {exc}\n")

@@ -24,7 +24,7 @@ profile from the same run (activation_profile), so one command is one MC pass.
 
 from __future__ import annotations
 
-import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -34,7 +34,6 @@ import numpy as np
 from . import exact
 from .classify import ProcessParams
 from .errors import OutOfRangeError, TooLargeError
-from .sequences import SequenceSpec
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # trials * (M+L) * N * L
 _BLOCK = 64                   # sites per scan block
@@ -116,13 +115,9 @@ class SimResult:
             },
         }
 
-    def to_jsonl(self) -> str:
-        return json.dumps(self.aggregate_dict(), sort_keys=True) + "\n"
-
 
 @dataclass(frozen=True)
 class ActivationProfile:
-    config: SimConfig
     sites: np.ndarray            # 1..M
     p_hat: np.ndarray            # empirical P(E_i)
     ci_half: np.ndarray          # Wilson half-widths
@@ -217,15 +212,12 @@ def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     N, L = cfg.params.N, cfg.params.L
     thresholds = _left_thresholds(cfg.params.spec.values(1, S + 1))
     per_trial = min(_BLOCK, S) * N * L
-    # at least one range per thread, each within the chunk memory bound
-    chunk = max(1, min(_CHUNK_ELEMENTS // per_trial, -(-cfg.trials // max(threads, 1))))
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    # at least one range per worker, each within the chunk memory bound
+    chunk = max(1, min(_CHUNK_ELEMENTS // per_trial, -(-cfg.trials // workers)))
     ranges = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda r: _frontiers(thresholds, N, L, cfg.seed, *r), ranges))
-    else:
-        parts = [_frontiers(thresholds, N, L, cfg.seed, *r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda r: _frontiers(thresholds, N, L, cfg.seed, *r), ranges))
     return np.concatenate(parts)
 
 
@@ -291,10 +283,7 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     # anchored at P(E_{L+1}); SimConfig's M > L makes that site tracked
     an = exact.a_n_array(cfg.params.spec, cfg.params.N, L, *_profile_blocks(cfg))
     curve[L + 1:] = p[L] * np.cumprod(1.0 - an)
-    return ActivationProfile(
-        config=cfg, sites=np.arange(1, M + 1), p_hat=p, ci_half=half,
-        lower_curve=curve,
-    )
+    return ActivationProfile(sites=np.arange(1, M + 1), p_hat=p, ci_half=half, lower_curve=curve)
 
 
 def estimate_activation_profile(cfg: SimConfig, threads: int = 1) -> ActivationProfile:

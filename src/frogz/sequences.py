@@ -191,42 +191,25 @@ class SparseOverride:
         if not (0.0 < v < 1.0):
             raise InvalidSpecError(f"override form value {v} at j0={self.j0} outside (0,1)")
 
-    def index(self, j: int) -> int:
-        return self.a * self.b**j
-
     def indices_upto(self, stop: int) -> list[tuple[int, int]]:
-        """All (j, n) with n = a*b^j < stop, j >= j0."""
+        """All (j, n) with n = a*b^j < stop, j >= j0, in increasing n."""
         out = []
         j = self.j0
         if j >= stop.bit_length():
             return out  # a * b^j >= 2^j >= stop, and b^j0 may be too big to form
-        while self.index(j) < stop:
-            out.append((j, self.index(j)))
-            j += 1
+        n = self.a * self.b**j
+        while n < stop:
+            out.append((j, n))
+            j, n = j + 1, n * self.b
         return out
-
-    def match(self, n: int) -> int | None:
-        """Return j if n belongs to the family, else None."""
-        if n % self.a != 0:
-            return None
-        t = n // self.a
-        if t < 1:
-            return None
-        j = round(math.log(t, self.b))
-        for jj in (j - 1, j, j + 1):
-            if jj >= self.j0 and self.b**jj == t:
-                return jj
-        return None
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "j0": self.j0, "form": self.form.to_dict()}
 
 
-def _occurrence_counter(n: int, r: int, k: int) -> int:
-    """1-based rank of index n among indices >= 1 with residue r mod k."""
-    if r == 0:
-        return n // k
-    return (n - r) // k + 1
+def _occurrence_counter(n, r, k: int):
+    """1-based rank of index n among indices >= 1 with residue r mod k; n, r int or int64 array."""
+    return (n - r) // k + (r != 0)
 
 
 @dataclass(frozen=True)
@@ -278,9 +261,9 @@ class SequenceSpec:
         if n < 1:
             raise OutOfRangeError(f"sequence index must be >= 1, got {n}")
         for ov in self.overrides:
-            j = ov.match(n)
-            if j is not None:
-                return ov.form.value(j)
+            hits = ov.indices_upto(n + 1)
+            if hits and hits[-1][1] == n:
+                return ov.form.value(hits[-1][0])
         r = n % self.modulus
         s = _occurrence_counter(n, r, self.modulus)
         return self.residue_forms[r].value(s)
@@ -293,7 +276,7 @@ class SequenceSpec:
         out = np.empty(n.shape, dtype=np.float64)
         k = self.modulus
         r = n % k
-        s = np.where(r == 0, n // k, (n - r) // k + 1)
+        s = _occurrence_counter(n, r, k)
         for res in range(k):
             mask = r == res
             if mask.any():
@@ -303,10 +286,6 @@ class SequenceSpec:
                 if idx >= start:
                     out[idx - start] = ov.form.value(j)
         return out
-
-    @property
-    def has_overrides(self) -> bool:
-        return bool(self.overrides)
 
     # -- serialization ------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Reference oracle for the spec-level analyses: full scans and enumeration.
 
+`value` reads q_n from the definition: the occurrence counter is the rank of
+n among the indices 1..n with its residue, and n belongs to an override
+family when dividing n / a by b repeatedly reaches 1 after j >= j0 steps.
 `is_in_D1` here builds the whole prefix q_1 .. q_{H+1} in one `values` call
 and compares every adjacent pair; `L0_L1` enumerates all 2^k residue subsets
 of the finite-index classes.  The windowed scan and the threshold sweep in
@@ -13,10 +16,32 @@ from frogz.sequences import (
     INF,
     MONOTONE_SCAN_HORIZON,
     SequenceSpec,
+    SparseOverride,
     SubseqAnalysis,
     _override_recurrent_residues,
     cyclic_gap,
 )
+
+
+def override_exponent(ov: SparseOverride, n: int):
+    """j with n = a * b^j and j >= j0, or None when n is not in the family."""
+    if n % ov.a:
+        return None
+    t, j = n // ov.a, 0
+    while t % ov.b == 0:
+        t, j = t // ov.b, j + 1
+    return j if t == 1 and j >= ov.j0 else None
+
+
+def value(spec: SequenceSpec, n: int) -> float:
+    for ov in spec.overrides:
+        j = override_exponent(ov, n)
+        if j is not None:
+            return ov.form.value(j)
+    k = spec.modulus
+    r = n % k
+    # the indices 1..n with residue r are r, r + k, ..., or k, 2k, ... for r = 0
+    return spec.residue_forms[r].value(len(range(r or k, n + 1, k)))
 
 
 def is_in_D1(spec: SequenceSpec) -> str:

@@ -150,6 +150,31 @@ class TestErrorExits:
         cfg = config_file({"N": 1, "spec": MOD2_SPEC})
         assert main(["classify", "--config", cfg]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("command, payload, key", [
+        (["classify"], {"L": 1, "spec": MOD2_SPEC}, "N"),
+        (["exact"], {"N": 1, "spec": MOD2_SPEC}, "L"),
+        (["simulate"], {k: v for k, v in _sim().items() if k != "N"}, "N"),
+        (["classify"], {"N": 1, "L": 1}, "spec"),
+        (["exact"], {"N": 1, "L": 1}, "spec"),
+        (["simulate"], {"N": 1, "L": 1, "horizon": 20, "trials": 10}, "spec"),
+        (["sweep", "--n-range", "1:1", "--l-range", "1:1"], {"N": 1, "L": 1}, "spec"),
+    ], ids=["classify_N", "exact_L", "simulate_N", "classify_spec", "exact_spec", "simulate_spec",
+            "sweep_spec"])
+    def test_missing_key_message(self, config_file, capsys, command, payload, key):
+        cfg = config_file(payload)
+        assert main(command + ["--config", cfg]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"bad config: missing config key {key!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--config", "--out", "--store"])
+    def test_directory_is_a_file_error(self, config_file, tmp_path, capsys, flag):
+        # a directory where a file is named: used to end in an IsADirectoryError traceback
+        args = {"--config": config_file({"N": 1, "L": 1, "spec": MOD2_SPEC}),
+                "--out": str(tmp_path / "verdict.json"), flag: str(tmp_path)}
+        assert main(["classify", *[x for pair in args.items() for x in pair]]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open {tmp_path}: ") and "Traceback" not in err
+        assert not (tmp_path / "verdict.json").exists()
+
     def test_schema_error_is_config_error(self, config_file):
         cfg = config_file({"N": 1, "L": 1, "spec": {"modulus": 0, "residues": []}})
         assert main(["classify", "--config", cfg]) == EXIT_BAD_CONFIG
@@ -337,6 +362,14 @@ class TestExactCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    def test_threads_below_one_is_a_usage_error(self, config_file, capsys, threads):
+        cfg = config_file(_sim())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--threads", threads])
+        assert exc.value.code == 2
+        assert f"expected an integer >= 1, got {threads!r}" in capsys.readouterr().err
+
     def test_basic_run(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC,
                            "horizon": 20, "trials": 200, "seed": 9})
@@ -457,7 +490,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", config_file(_sim()), "--out", str(out),
                    "--profile", str(prof), "--store", str(store)])
         assert rc == EXIT_BAD_CONFIG
-        assert capsys.readouterr().err.startswith("bad config: [Errno 2] No such file")
+        assert capsys.readouterr().err.startswith(f"cannot open {prof}: No such file")
         assert not out.exists() and not store.exists()
 
     def test_profile_csv(self, config_file, tmp_path):

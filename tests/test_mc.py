@@ -105,6 +105,34 @@ class TestDeterminism:
         cfg = make_cfg(mod2_spec, N=2, L=2, horizon=30, trials=300)
         assert np.array_equal(run_trials(cfg, threads=1), run_trials(cfg, threads=3))
 
+    def test_workers_capped_at_cpu_count(self, mod2_spec, monkeypatch):
+        import frogz.mc as mc_mod
+        asked = {}
+
+        class SerialPool:
+            # records what run_trials asks for and maps in this thread
+            def __init__(self, max_workers):
+                asked["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, ranges):
+                ranges = list(ranges)
+                asked["ranges"] = len(ranges)
+                return map(fn, ranges)
+
+        cfg = make_cfg(mod2_spec, N=2, L=2, horizon=30, trials=300)
+        baseline = run_trials(cfg)
+        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc_mod, "ThreadPoolExecutor", SerialPool)
+        assert np.array_equal(mc_mod.run_trials(cfg, threads=10**6), baseline)
+        # two workers, and one range for each of them
+        assert asked == {"max_workers": 2, "ranges": 2}
+
     def test_chunking_does_not_change_result(self, mod2_spec, monkeypatch):
         import frogz.mc as mc_mod
         cfg = make_cfg(mod2_spec, N=2, L=2, horizon=30, trials=97)
@@ -240,7 +268,7 @@ class TestEstimates:
 
     def test_aggregate_serializes(self, mod2_spec):
         cfg = make_cfg(mod2_spec, N=1, L=2, horizon=30, trials=100)
-        line = estimate_survival(cfg).to_jsonl()
+        line = json.dumps(estimate_survival(cfg).aggregate_dict())
         payload = json.loads(line)
         assert payload["result"]["trials"] == 100
         assert 0 <= payload["result"]["p_hat"] <= 1

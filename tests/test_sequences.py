@@ -58,6 +58,22 @@ class TestEval:
             arr = spec.values(1, 200)
             assert arr == pytest.approx([spec.value(n) for n in range(1, 200)])
 
+    @given(data=st.data(), k=st.integers(1, 7), a=st.integers(1, 50), b=st.integers(2, 10),
+           j0=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_value_matches_index_oracle(self, data, k, a, b, j0):
+        forms = st.sampled_from([PowerLaw(c=0.5, alpha=1.0, offset=1),
+                                 PowerLaw(c=0.9, alpha=0.5, offset=2),
+                                 LogInverse(c=0.5, offset=2), ConstantForm(q=0.3)])
+        ov = SparseOverride(a=a, b=b, j0=j0, form=data.draw(forms))
+        spec = SequenceSpec(modulus=k, residue_forms=tuple(data.draw(forms) for _ in range(k)),
+                            overrides=(ov,))
+        member = st.builds(lambda j, delta: max(1, a * b**j + delta),
+                           st.integers(j0, j0 + 12), st.sampled_from([-1, 0, 1]))
+        n = data.draw(st.one_of(st.integers(1, 10**12), member))
+        # exact, not approx: both sides must pick the same form at the same counter
+        assert spec.value(n) == oracle.value(spec, n)
+
     def test_always_in_open_unit_interval(self, mod2_spec, dyadic_spec, log_spec):
         for spec in (mod2_spec, dyadic_spec, log_spec):
             vals = spec.values(1, 5000)
