@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InvalidSpecError, OutOfRangeError
+from .errors import InvalidSpecError, OutOfRangeError, TooLargeError
 from .exact import b, f
 from .sequences import INF, L0_L1, SequenceSpec, is_in_D1, m_of
 
 EDGE_TOL = 1e-9  # tolerance for detecting the exact exponent edge E_r == 1
 DEFAULT_N_CAP = 1000
+ALIGNMENT_WORK_MAX = 10**8  # modulus * L block positions of the series test: about 35 s
 
 
 class Outcome(str, Enum):
@@ -103,6 +104,14 @@ class Verdict:
         }
 
 
+def check_alignment(spec: SequenceSpec, L: int) -> None:
+    """Refuse a series test over more than ALIGNMENT_WORK_MAX modulus * L block positions."""
+    if spec.modulus * L > ALIGNMENT_WORK_MAX:
+        raise TooLargeError(
+            f"series test at modulus {spec.modulus}, L={L}: modulus*L = {spec.modulus * L} "
+            f"exceeds {ALIGNMENT_WORK_MAX}")
+
+
 def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
     """Per-alignment exponents (E_r, F_r) and the minimum-E_r witness.
 
@@ -117,6 +126,7 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
         float(N)
     except OverflowError as exc:
         raise OutOfRangeError("N is too large for float series exponents") from exc
+    check_alignment(spec, L)
     k = spec.modulus
     out = []
     for r in range(k):

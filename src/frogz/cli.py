@@ -17,8 +17,10 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .classify import ProcessParams, classify, min_alignment_exponent
-from .errors import BoundViolationError, FrogzError, MalformedConfigError, TooLargeError
+from .classify import ProcessParams, check_alignment, classify, min_alignment_exponent
+from .errors import (
+    BoundViolationError, FrogzError, MalformedConfigError, OutOfRangeError, TooLargeError,
+)
 from .exact import (
     WalkLaw, bound_reports, brute_force_reach, build_reach_table, check_enumeration,
     reach_prob,
@@ -126,6 +128,8 @@ def _positive_int(text: str) -> int:
 
 def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
     spec = SequenceSpec.from_dict(config["spec"])
+    if not spec.overrides:
+        check_alignment(spec, args.l_range[-1])
     rows = []
     for N in args.n_range:
         for L in args.l_range:
@@ -148,6 +152,8 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
 
 def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
     l_max = _config_num(config, "l_max", 8)
+    if l_max < 1:
+        raise OutOfRangeError(f"need l_max >= 1, got {l_max}")
     check_enumeration(l_max)
     p_grid = _config_grid(config, "p_grid", [round(0.1 * i, 1) for i in range(1, 10)], float)
     q_grid = _config_grid(config, "q_grid", [0.1, 0.3, 0.5, 0.7, 0.9], float)
@@ -221,7 +227,10 @@ def main(argv=None) -> int:
         config = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                try:
+                    config = json.load(fh)
+                except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+                    raise MalformedConfigError(str(exc)) from exc
             if not isinstance(config, dict):
                 raise MalformedConfigError(
                     f"config must be a JSON object, got {type(config).__name__}")
@@ -240,7 +249,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         sys.stderr.write(f"bad config: missing config key {exc}\n")
         return EXIT_BAD_CONFIG
-    except (json.JSONDecodeError, MalformedConfigError) as exc:
+    except MalformedConfigError as exc:
         sys.stderr.write(f"bad config: {exc}\n")
         return EXIT_BAD_CONFIG
     except OSError as exc:

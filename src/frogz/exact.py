@@ -10,9 +10,9 @@ DP call per block position over every block of a batch; `reach_prob` is an
 array of one.  Each step does the scalar recurrence's IEEE operations in its
 order, so a batched value is bit-identical to a one-walk value.  Powers use
 Python's `**` on each element, never np.power, whose last bit can differ from
-`**`.  The DP works over whatever number type the step probability carries
-(object arrays for anything but float), so fractions.Fraction gives
-exact-rational fixtures.
+`**`.  The DP is float64 only: a step probability of another number type
+(a fractions.Fraction, say) is converted once with float() where it enters,
+and exact rationals live only in the path-count oracle, brute_force_reach.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class WalkLaw:
             raise OutOfRangeError(f"steps must be >= 1, got {self.steps}")
 
 
-def _walk_array(values: list) -> np.ndarray:
-    """float64 when every value is a float, else an object array (exact arithmetic)."""
-    exact = not all(isinstance(v, float) for v in values)
-    return np.array(values, dtype=object if exact else np.float64)
-
-
 def _reach_dp(p: np.ndarray, L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """P(running max of an L-step walk reaches d), for each right-step probability in p.
 
@@ -80,30 +74,24 @@ def _reach_dp(p: np.ndarray, L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     the absorbed mass.  Per step, cell k takes mass[k-1]*p and then adds
     mass[k+1]*q, and the top cell's mass*p is added to the absorbed mass.
     Returns the absorbed mass and, per walk, whether retained + absorbed mass
-    stayed 1 at every step (exactly for object arrays, to 1e-12 for floats).
+    stayed within 1e-12 of 1 at every step.
     """
     q = 1 - p
-    one = p + q
-    mass = np.empty((L + d + 2, p.size), dtype=p.dtype)
-    mass[:] = p * 0
-    mass[L + 1] = one
+    mass = np.zeros((L + d + 2, p.size))
+    mass[L + 1] = 1.0
     new = mass.copy()
-    totals = np.empty((L, p.size), dtype=p.dtype)
+    totals = np.empty((L, p.size))
     for t in range(L):
         np.multiply(mass[:-1], p, out=new[1:])
         new[1:-2] += mass[2:-1] * q
         new[-1] += mass[-1]
         mass, new = new, mass
         np.add.reduce(mass, axis=0, out=totals[t])  # row by row, like a sum over a list
-    if p.dtype == object:
-        conserved = (totals == one).all(axis=0)
-    else:
-        conserved = (np.abs(totals - 1.0) <= 1e-12).all(axis=0)
-    return mass[-1], conserved
+    return mass[-1], (np.abs(totals - 1.0) <= 1e-12).all(axis=0)
 
 
-def reach_prob(law: WalkLaw, d: int):
-    """P(running max of the walk reaches displacement d within its steps).
+def reach_prob(law: WalkLaw, d: int) -> float:
+    """P(running max of the walk reaches displacement d within its steps), a float.
 
     Conservation (retained + absorbed mass = 1) is asserted at every step.
     """
@@ -111,7 +99,7 @@ def reach_prob(law: WalkLaw, d: int):
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
     if d > law.steps:
         return 0.0
-    absorbed, conserved = _reach_dp(_walk_array([law.p_right]), law.steps, d)
+    absorbed, conserved = _reach_dp(np.array([law.p_right], dtype=np.float64), law.steps, d)
     assert conserved[0]
     return absorbed.tolist()[0]
 
@@ -177,7 +165,7 @@ def _miss_probs(p: np.ndarray, N: int, L: int, d: int):
         i: AssertionError() if valid[i] else _p_right_error(p[i:i + 1].tolist()[0]) for i in bad}
 
 
-def _sandwich(q: list, N: int, L: int, j: int) -> tuple[list, list]:
+def _sandwich(q: np.ndarray, N: int, L: int, j: int) -> tuple[list, list]:
     """Bounds at block position j for sites with left-step probabilities q:
     lower = q^(N f(j)) <= P(no particle from n+j visits n+L+1) <= upper =
     min(1, 2^(NL) lower).
@@ -188,13 +176,13 @@ def _sandwich(q: list, N: int, L: int, j: int) -> tuple[list, list]:
     from logs: 2^(NL + N f(j) log2 q).
     """
     k = N * f(j, L)
-    lower = [x ** k for x in q]
-    low = np.array(lower, dtype=np.float64)
+    lower = [x ** k for x in q.tolist()]
+    low = np.array(lower)
     with np.errstate(over="ignore", divide="ignore"):
         upper = np.ldexp(low, min(N * L, _LDEXP_MAX))
         tiny = low < np.finfo(np.float64).tiny
         if tiny.any():
-            upper[tiny] = np.exp2(N * L + k * np.log2(np.array(q, dtype=np.float64)[tiny]))
+            upper[tiny] = np.exp2(N * L + k * np.log2(q[tiny]))
     return lower, np.minimum(1.0, upper).tolist()
 
 
@@ -209,9 +197,10 @@ def _positions(columns: list[list], N: int, L: int):
         float(N * L)
     except OverflowError as exc:
         raise OutOfRangeError("N*L is too large for float bounds") from exc
-    for j, q in enumerate(columns, 1):
+    for j, column in enumerate(columns, 1):
+        q = np.array(column, dtype=np.float64)
         lower, upper = _sandwich(q, N, L, j)
-        miss, bad = _miss_probs(1 - _walk_array(q), N, L, L + 1 - j)
+        miss, bad = _miss_probs(1 - q, N, L, L + 1 - j)
         yield lower, miss, upper, bad
 
 
@@ -331,6 +320,8 @@ def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> tuple[R
     """Rows n = 0..n_max with a_n, its sandwich bounds, and the running product."""
     if N < 1 or L < 1:
         raise OutOfRangeError(f"need N >= 1 and L >= 1, got N={N}, L={L}")
+    if n_max < 0:
+        raise OutOfRangeError(f"need n_max >= 0, got {n_max}")
     rows = []
     prod = 1.0
     for n, (lower, an, upper) in enumerate(_blocks(spec, N, L, 0, n_max + 1)):

@@ -12,7 +12,7 @@ numeric partial sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -31,8 +31,17 @@ D1_WINDOW_CAP = 1 << 16
 VALIDITY_SCAN_PREFIX = 1000
 
 
+class _Form:
+    """What the primitive forms share: m is INF unless a form overrides it."""
+
+    m = INF
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Form):
     """q = c * (s + offset)^(-alpha) at occurrence counter s."""
 
     c: float
@@ -66,12 +75,9 @@ class PowerLaw:
         # smallest integer M with M*alpha > 1 (M*alpha == 1 diverges, harmonic-type)
         return math.floor(1.0 / self.alpha) + 1
 
-    def to_dict(self) -> dict:
-        return {"kind": "power", "c": self.c, "alpha": self.alpha, "offset": self.offset}
-
 
 @dataclass(frozen=True)
-class LogInverse:
+class LogInverse(_Form):
     """q = c / log(s + offset) at occurrence counter s.  Sum of q^M diverges for every M."""
 
     c: float
@@ -94,16 +100,9 @@ class LogInverse:
     def value_array(self, s: np.ndarray) -> np.ndarray:
         return self.c / np.log(s.astype(np.float64) + self.offset)
 
-    @property
-    def m(self):
-        return INF
-
-    def to_dict(self) -> dict:
-        return {"kind": "loginv", "c": self.c, "offset": self.offset}
-
 
 @dataclass(frozen=True)
-class ConstantForm:
+class ConstantForm(_Form):
     """q constant in (0,1).  Sum of q^M diverges for every M."""
 
     q: float
@@ -119,13 +118,6 @@ class ConstantForm:
 
     def value_array(self, s: np.ndarray) -> np.ndarray:
         return np.full(s.shape, self.q, dtype=np.float64)
-
-    @property
-    def m(self):
-        return INF
-
-    def to_dict(self) -> dict:
-        return {"kind": "const", "q": self.q}
 
 
 PrimitiveForm = Union[PowerLaw, LogInverse, ConstantForm]

@@ -15,7 +15,7 @@ from frogz.classify import (
     series_test,
     survival_threshold_N,
 )
-from frogz.errors import InvalidSpecError, OutOfRangeError
+from frogz.errors import InvalidSpecError, OutOfRangeError, TooLargeError
 from frogz.sequences import (
     INF,
     LogInverse,
@@ -102,6 +102,27 @@ class TestSeriesTest:
     def test_overrides_unsupported(self, dyadic_spec):
         with pytest.raises(InvalidSpecError):
             min_alignment_exponent(dyadic_spec, 1, 2)
+
+    def test_refused_before_the_first_position(self, mod2_spec, monkeypatch):
+        import frogz.classify as classify_mod
+
+        def reached(*args):
+            raise AssertionError("a block position was read")
+
+        monkeypatch.setattr(classify_mod, "f", reached)
+        with pytest.raises(TooLargeError, match=r"^series test at modulus 2, L=50000001: "
+                                                r"modulus\*L = 100000002 exceeds 100000000$"):
+            min_alignment_exponent(mod2_spec, 1, 50_000_001)
+
+    def test_work_limit(self, mod2_spec, monkeypatch):
+        import frogz.classify as classify_mod
+        monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 7)
+        exps, _ = min_alignment_exponent(mod2_spec, 1, 7)  # modulus * L at the limit runs
+        assert len(exps) == 2
+        with pytest.raises(TooLargeError):
+            min_alignment_exponent(mod2_spec, 1, 8)
+        with pytest.raises(TooLargeError):
+            series_test(mod2_spec, 1, 8)
 
     def test_mod3_threshold_N(self):
         spec = mod3_spec(0.2)

@@ -27,6 +27,12 @@ MOD2_SPEC = {
 
 CONST_SPEC = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.5}}]}
 
+# no structural rule fires at any L: classify falls back to the series test (R7)
+R7_SPEC = {"modulus": 2, "residues": [
+    {"r": 0, "form": {"kind": "power", "c": 0.5, "alpha": 1e-20, "offset": 1}},
+    {"r": 1, "form": {"kind": "power", "c": 0.4, "alpha": 1e-20, "offset": 1}},
+]}
+
 
 def _form_spec(form):
     """A modulus-1 spec of one form."""
@@ -118,6 +124,20 @@ class TestClassifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload["values"]) == ["L0", "L1", "b", "exponents", "m"]
 
+    def test_series_test_refused(self, config_file, capsys, monkeypatch):
+        # L = 10^8 ran for over a minute; f raises here, so a missing guard fails at once
+        import frogz.classify as classify_mod
+
+        def reached(*args):
+            raise AssertionError("the series test ran")
+
+        monkeypatch.setattr(classify_mod, "f", reached)
+        cfg = config_file({"N": 1, "L": 10**9, "spec": R7_SPEC})
+        assert main(["classify", "--config", cfg]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == (
+            "refused: series test at modulus 2, L=1000000000: modulus*L = 2000000000 "
+            "exceeds 100000000\n")
+
     def test_threads_is_a_usage_error(self, config_file, capsys):
         # only simulate runs threads; the other subcommands reject the flag
         cfg = config_file({"N": 1, "L": 1, "spec": MOD2_SPEC})
@@ -145,6 +165,19 @@ class TestErrorExits:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["classify", "--config", str(bad)]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "bad config: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 200_000, "bad config: maximum recursion depth exceeded"),
+    ], ids=["not_utf8", "deep_nesting"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, content, message):
+        # used to exit 2 with "invalid input: ...", and deep nesting with a RecursionError
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["classify", "--config", str(bad)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
     def test_missing_key(self, config_file):
         cfg = config_file({"N": 1, "spec": MOD2_SPEC})
@@ -352,6 +385,14 @@ class TestExactCommand:
         # 4 blocks at L = 1000 is the limit itself: the table starts
         with pytest.raises(Reached):
             run(1000, 3)
+
+    def test_negative_n_max_is_rejected(self, config_file, tmp_path, capsys):
+        # used to write a header-only table with exit 0
+        cfg = config_file({"N": 1, "L": 1, "n_max": -5, "spec": CONST_SPEC})
+        out = tmp_path / "table.csv"
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid input: need n_max >= 0, got -5\n"
+        assert not out.exists()
 
     def test_zero_lifetime_is_rejected(self, config_file, tmp_path, capsys):
         cfg = config_file({"N": 1, "L": 0, "n_max": 2, "spec": CONST_SPEC})
@@ -585,6 +626,37 @@ class TestSweepCommand:
         assert f"argument {flag}: expected lo:hi with 1 <= lo <= hi, got {text!r}" in err
         assert not out.exists()
 
+    def test_series_test_refused_before_the_first_cell(self, config_file, tmp_path, capsys,
+                                                       monkeypatch):
+        def reached(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr("frogz.cli.classify", reached)
+        cfg = config_file({"spec": R7_SPEC})
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--config", cfg, "--out", str(out),
+                   "--n-range", "1:2", "--l-range", "1:1000000000"])
+        assert rc == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == (
+            "refused: series test at modulus 2, L=1000000000: modulus*L = 2000000000 "
+            "exceeds 100000000\n")
+        assert not out.exists()
+
+    def test_series_test_limit(self, config_file, tmp_path, capsys, monkeypatch):
+        import frogz.classify as classify_mod
+        monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 5)
+
+        def run(spec, l_range):
+            return main(["sweep", "--config", config_file({"spec": spec}), "--out",
+                         str(tmp_path / "sweep.csv"), "--n-range", "1:1", "--l-range", l_range])
+
+        assert run(R7_SPEC, "1:5") == EXIT_OK
+        assert run(R7_SPEC, "1:6") == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err.startswith("refused: series test at modulus 2, L=6:")
+        # with overrides no cell runs the series test, and nothing is refused
+        dyadic = dict(R7_SPEC, overrides=[{"a": 1, "b": 2, "form": {"kind": "const", "q": 0.5}}])
+        assert run(dyadic, "1:6") == EXIT_OK
+
     def test_spec_analysed_once(self, config_file, tmp_path):
         from frogz.sequences import L0_L1
         L0_L1.cache_clear()
@@ -657,6 +729,16 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
         assert capsys.readouterr().err == "refused: enumeration guarded at L <= 20, got 25\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grids", [{}, {"p_grid": 5}], ids=["grids_ok", "bad_grid"])
+    def test_zero_l_max_is_rejected(self, config_file, tmp_path, capsys, grids):
+        # used to print {"checked": 0, "failures": []} with exit 0; the l_max error
+        # comes before the grid error (exit 1)
+        cfg = config_file(dict(grids, l_max=0))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid input: need l_max >= 1, got 0\n"
         assert not out.exists()
 
     def test_violation_exit(self, config_file, tmp_path, monkeypatch):

@@ -59,8 +59,10 @@ class TestReach:
         assert reach_prob(law, 1) == pytest.approx(0.6 + 0.4 * 0.6 * 0.6)
 
     def test_exact_fraction(self):
-        law = WalkLaw(p_right=Fraction(1, 2), steps=2)
-        assert reach_prob(law, 2) == Fraction(1, 4)
+        # the DP is float64: a Fraction p_right is converted once, and 1/4 is a float
+        got = reach_prob(WalkLaw(p_right=Fraction(1, 2), steps=2), 2)
+        assert type(got) is float
+        assert got == 0.25
 
     def test_unreachable(self):
         law = WalkLaw(p_right=0.5, steps=3)
@@ -173,6 +175,12 @@ class TestActivationProducts:
         with pytest.raises(OutOfRangeError, match=rf"need N >= 1 and L >= 1, got N={N}, L={L}"):
             build_reach_table(const_spec, N=N, L=L, n_max=2)
 
+    def test_table_rejects_negative_n_max(self, const_spec):
+        # n_max = -5 used to give a table of no rows
+        with pytest.raises(OutOfRangeError, match=r"^need n_max >= 0, got -5$"):
+            build_reach_table(const_spec, N=1, L=1, n_max=-5)
+        assert len(build_reach_table(const_spec, N=1, L=1, n_max=0)) == 1
+
 
 # -- the batched DP against the one-walk, one-block oracle ---------------------
 
@@ -215,14 +223,23 @@ class TestBatchedReach:
         law = WalkLaw(p_right=p, steps=L)
         assert reach_prob(law, d) == oracle.reach_prob(law, d)
 
-    def test_fraction_dp_exact(self):
+    def test_oracle_fraction_dp_equals_counts_oracle(self):
+        # exact rationals live in the two oracles, which agree to the last digit
         for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
-            for L in range(1, 7):
+            for L in range(1, 11):
                 law = WalkLaw(p_right=p, steps=L)
                 for d in range(1, L + 1):
-                    got = reach_prob(law, d)
+                    got = oracle.reach_prob(law, d)
                     assert isinstance(got, Fraction)
-                    assert got == oracle.reach_prob(law, d)
+                    assert got == brute_force_reach(law, d)
+
+    def test_fraction_p_right_is_float_p_right(self):
+        for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
+            for L in range(1, 11):
+                for d in range(1, L + 1):
+                    got = reach_prob(WalkLaw(p_right=p, steps=L), d)
+                    assert type(got) is float
+                    assert got == reach_prob(WalkLaw(p_right=float(p), steps=L), d)
 
     def test_counts_oracle_equals_enumeration(self):
         for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
