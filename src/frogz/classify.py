@@ -112,13 +112,28 @@ def check_alignment(spec: SequenceSpec, L: int) -> None:
             f"exceeds {ALIGNMENT_WORK_MAX}")
 
 
+def check_sweep(spec: SequenceSpec, n_range: range, l_range: range) -> None:
+    """Refuse a grid of series tests, one per (N, L) cell, whose largest cell or whose
+    total over all cells exceeds ALIGNMENT_WORK_MAX modulus * L block positions."""
+    check_alignment(spec, l_range[-1])
+    total = len(n_range) * spec.modulus * len(l_range) * (l_range[0] + l_range[-1]) // 2
+    if total > ALIGNMENT_WORK_MAX:
+        raise TooLargeError(
+            f"sweep of {len(n_range)} x {len(l_range)} series tests at modulus {spec.modulus}: "
+            f"modulus*L summed over the cells = {total} exceeds {ALIGNMENT_WORK_MAX}")
+
+
+def weakest_alignment(exps: tuple[SeriesExponent, ...]) -> SeriesExponent:
+    """The minimum-E_r alignment; ties in E go to the smaller F, which dominates divergence."""
+    return min(exps, key=lambda s: (s.power_exp, s.log_exp))
+
+
 def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
     """Per-alignment exponents (E_r, F_r) and the minimum-E_r witness.
 
     E_r collects N * alpha * f(j) over power-law block positions, F_r collects
     N * f(j) over log-inverse positions; constant positions contribute only a
-    constant factor and drop out.  Ties in E are broken by smaller F, which
-    dominates divergence.
+    constant factor and drop out.  The witness is weakest_alignment's.
     """
     if spec.overrides:
         raise InvalidSpecError("alignment exponents are undefined with sparse overrides")
@@ -139,8 +154,7 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
             elif form.kind == "loginv":
                 g += N * f(j)
         out.append(SeriesExponent(residue=r, power_exp=e, log_exp=g))
-    best = min(out, key=lambda s: (s.power_exp, s.log_exp))
-    return tuple(out), best
+    return tuple(out), weakest_alignment(out)
 
 
 def series_test(spec: SequenceSpec, N: int, L: int) -> tuple[Outcome, tuple[SeriesExponent, ...]]:

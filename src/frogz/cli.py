@@ -17,7 +17,9 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .classify import ProcessParams, check_alignment, classify, min_alignment_exponent
+from .classify import (
+    ProcessParams, check_sweep, classify, min_alignment_exponent, weakest_alignment,
+)
 from .errors import (
     BoundViolationError, FrogzError, MalformedConfigError, OutOfRangeError, TooLargeError,
 )
@@ -129,7 +131,7 @@ def _positive_int(text: str) -> int:
 def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
     spec = SequenceSpec.from_dict(config["spec"])
     if not spec.overrides:
-        check_alignment(spec, args.l_range[-1])
+        check_sweep(spec, args.n_range, args.l_range)
     rows = []
     for N in args.n_range:
         for L in args.l_range:
@@ -137,7 +139,9 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
             if spec.overrides:
                 min_e = min_f = ""
             else:
-                _, best = min_alignment_exponent(spec, N, L)
+                # where R7 decided, the verdict carries the exponents already
+                exps = verdict.exponents or min_alignment_exponent(spec, N, L)[0]
+                best = weakest_alignment(exps)
                 min_e, min_f = repr(best.power_exp), best.log_exp
             rows.append([
                 N, L, verdict.outcome.value,

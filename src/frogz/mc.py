@@ -12,18 +12,27 @@ interval [1, h] for some frontier h.  A trial therefore reduces to a prefix-
 maximum scan over per-site rightmost reaches: the frontier is the first site
 h with max_{i <= h} (i + reach_i) == h.
 
-The scan walks the S = M + L tracked sites in blocks of 64, carrying each
-trial's running prefix maximum from one block to the next, and drops a trial
-in the block where its frontier is found.  Because every draw is a pure hash,
-this early exit returns exactly the frontiers of a full scan, and memory is
-bounded by trials per chunk * 64 * N * L whatever the horizon.  A step goes
-left when (hash >> 11) < ceil(q * 2**53), which is exactly the float test
-(hash >> 11) * 2**-53 < q.  `simulate --profile` derives the activation
-profile from the same run (activation_profile), so one command is one MC pass.
+The scan walks the S = M + L tracked sites in blocks that double in width
+from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
+63, 127, 191, ... (_block_end).  It carries each trial's running prefix
+maximum from one block to the next and drops a trial in the block where its
+frontier is found, so a trial that dies at site 1 costs one hashed site.
+Because every draw is a pure hash, this early exit returns exactly the
+frontiers of a full scan.  Trials are split into equal ranges, as many as the
+workers or a multiple of that, each hashing at most 2**18 elements
+(trials * 64 * N * L) per block, so memory stays near the L2 cache size
+whatever the horizon or the trial count, and a site's step law is evaluated
+once, when a trial first scans it.  The work a run records as evaluated is,
+summed over trials, the end of the block holding the frontier (at most S)
+times N * L.  A step goes left when (hash >> 11) < ceil(q * 2**53), which is
+exactly the float test (hash >> 11) * 2**-53 < q.  `simulate --profile`
+derives the activation profile from the same run (activation_profile), so one
+command is one MC pass.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,8 +45,8 @@ from .classify import ProcessParams
 from .errors import OutOfRangeError, TooLargeError
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # trials * (M+L) * N * L
-_BLOCK = 64                   # sites per scan block
-_CHUNK_ELEMENTS = 8_000_000   # trials * block * N * L hashed at once per range
+_BLOCK = 64                   # a power of 2: the widest scan block, in sites
+_CHUNK_ELEMENTS = 2 ** 18     # trials * _BLOCK * N * L hashed at once per range
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -146,16 +155,39 @@ def _left_thresholds(q: np.ndarray) -> np.ndarray:
     return np.ceil(np.clip(q, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
 
 
-def _frontiers(thresholds: np.ndarray, N: int, L: int, seed: int,
+def _block_end(site, S: int):
+    """Last site of the scan block holding `site` (an int or an int64 array).
+
+    Blocks double in width from 1 site up to _BLOCK and then keep _BLOCK, so
+    they end at 2**k - 1 up to 2 * _BLOCK - 1 and then at every site that is
+    -1 mod _BLOCK; the last block ends at S.
+    """
+    site = np.asarray(site, dtype=np.int64)
+    _, bits = np.frexp(site)            # the bit length of each positive site
+    return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
+
+
+def _block_thresholds(spec):
+    """thresholds(lo, hi): the left-step thresholds of sites lo+1..hi of `spec`.
+
+    Each block is evaluated once, on first use, and shared by every range and
+    worker, so no more of the horizon is evaluated than some trial scans.
+    """
+    @functools.cache
+    def thresholds(lo: int, hi: int) -> np.ndarray:
+        return _left_thresholds(spec.values(lo + 1, hi + 1))
+    return thresholds
+
+
+def _frontiers(thresholds, S: int, N: int, L: int, seed: int,
                trial_lo: int, trial_hi: int) -> np.ndarray:
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
-    thresholds[i-1] is the left-step threshold of site i (see _left_thresholds);
-    S = len(thresholds) sites are tracked.  Sites are scanned in blocks of
-    _BLOCK, carrying each trial's running prefix maximum from block to block;
-    a trial leaves the scan in the block where its frontier is found.
+    thresholds(lo, hi) gives the left-step thresholds of sites lo+1..hi (see
+    _left_thresholds).  Sites are scanned in the blocks of _block_end,
+    carrying each trial's running prefix maximum from block to block; a trial
+    leaves the scan in the block where its frontier is found.
     """
-    S = len(thresholds)
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
     particles = np.arange(N, dtype=np.uint64)
@@ -165,12 +197,14 @@ def _frontiers(thresholds: np.ndarray, N: int, L: int, seed: int,
     frontier = np.empty(len(trials), dtype=np.int64)
     live = np.arange(len(trials))       # positions in `frontier` still scanning
     carry = np.zeros(len(trials), dtype=np.int64)  # prefix max up to the block
-    for lo in range(0, S, _BLOCK):
-        idx = np.arange(lo + 1, min(lo + _BLOCK, S) + 1, dtype=np.int64)
+    lo = 0                              # sites scanned so far
+    while len(live):
+        hi = int(_block_end(lo + 1, S))
+        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
         h2 = _mix(h1[:, None] ^ (idx.astype(np.uint64) * _K2)[None, :])   # (B,b)
         # steps lead so the walk below runs over whole contiguous slabs
         h3 = _mix(pt[:, :, None, None] ^ h2[None, None, :, :])            # (L,N,B,b)
-        left = np.right_shift(h3, _SHIFT, out=h3) < thresholds[lo:lo + len(idx)]
+        left = np.right_shift(h3, _SHIFT, out=h3) < thresholds(lo, hi)
         del h3
         # position after t+1 steps is t+1 - 2 * (left steps so far); the
         # origin itself counts as visited, so reach is never below 0
@@ -191,8 +225,7 @@ def _frontiers(thresholds: np.ndarray, N: int, L: int, seed: int,
         frontier[live[done]] = lo + 1 + np.argmax(stuck[done], axis=1)
         keep = ~done
         live, h1, carry = live[keep], h1[keep], prefix[keep, -1]
-        if not len(live):
-            break
+        lo = hi
     return frontier
 
 
@@ -210,14 +243,17 @@ def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg)
     N, L = cfg.params.N, cfg.params.L
-    thresholds = _left_thresholds(cfg.params.spec.values(1, S + 1))
+    thresholds = _block_thresholds(cfg.params.spec)
     per_trial = min(_BLOCK, S) * N * L
     workers = max(1, min(threads, os.cpu_count() or 1))
-    # at least one range per worker, each within the chunk memory bound
-    chunk = max(1, min(_CHUNK_ELEMENTS // per_trial, -(-cfg.trials // workers)))
-    ranges = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
+    # equal ranges within the chunk bound, as many as the workers or a multiple
+    # of it, so that every worker gets the same share
+    count = -(-cfg.trials * per_trial // _CHUNK_ELEMENTS)
+    count = min(-(-count // workers) * workers, cfg.trials)
+    bounds = [k * cfg.trials // count for k in range(count + 1)]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: _frontiers(thresholds, N, L, cfg.seed, *r), ranges))
+        parts = list(pool.map(lambda r: _frontiers(thresholds, S, N, L, cfg.seed, *r), ranges))
     return np.concatenate(parts)
 
 
@@ -225,8 +261,8 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     """One trial: (max activated site capped at M, the activated site set)."""
     if M <= params.L:
         raise OutOfRangeError(f"horizon must exceed L, got {M}")
-    thresholds = _left_thresholds(params.spec.values(1, M + params.L + 1))
-    h = int(_frontiers(thresholds, params.N, params.L, seed, trial, trial + 1)[0])
+    h = int(_frontiers(_block_thresholds(params.spec), M + params.L, params.N, params.L,
+                       seed, trial, trial + 1)[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 
@@ -242,7 +278,7 @@ def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
     N, L = cfg.params.N, cfg.params.L
     S = M + L
     # a trial is scanned up to the end of the block holding its frontier
-    scanned = np.minimum(-(-frontiers // _BLOCK) * _BLOCK, S)
+    scanned = _block_end(frontiers, S)
     return SimResult(
         config=cfg,
         max_sites=np.minimum(frontiers, M),

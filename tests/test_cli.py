@@ -1,12 +1,14 @@
 import csv
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frogz.classify import ProcessParams, classify
 from frogz.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INVALID_SPEC,
@@ -14,6 +16,7 @@ from frogz.cli import (
     EXIT_VIOLATION,
     main,
 )
+from frogz.sequences import SequenceSpec
 
 
 MOD2_SPEC = {
@@ -644,18 +647,65 @@ class TestSweepCommand:
 
     def test_series_test_limit(self, config_file, tmp_path, capsys, monkeypatch):
         import frogz.classify as classify_mod
-        monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 5)
 
-        def run(spec, l_range):
+        def run(spec, n_range, l_range):
             return main(["sweep", "--config", config_file({"spec": spec}), "--out",
-                         str(tmp_path / "sweep.csv"), "--n-range", "1:1", "--l-range", l_range])
+                         str(tmp_path / "sweep.csv"), "--n-range", n_range, "--l-range", l_range])
 
-        assert run(R7_SPEC, "1:5") == EXIT_OK
-        assert run(R7_SPEC, "1:6") == EXIT_INVALID_SPEC
+        # the largest cell: modulus 2 * L
+        monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 5)
+        assert run(R7_SPEC, "1:1", "5:5") == EXIT_OK
+        assert run(R7_SPEC, "1:1", "6:6") == EXIT_INVALID_SPEC
         assert capsys.readouterr().err.startswith("refused: series test at modulus 2, L=6:")
+        # the grid total: 2 values of N * modulus 2 * (1 + ... + 5)
+        monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 2 * 15)
+        assert run(R7_SPEC, "1:2", "1:5") == EXIT_OK
+        assert run(R7_SPEC, "1:2", "1:6") == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == (
+            "refused: sweep of 2 x 6 series tests at modulus 2: modulus*L summed over the "
+            "cells = 84 exceeds 60\n")
         # with overrides no cell runs the series test, and nothing is refused
         dyadic = dict(R7_SPEC, overrides=[{"a": 1, "b": 2, "form": {"kind": "const", "q": 0.5}}])
-        assert run(dyadic, "1:6") == EXIT_OK
+        assert run(dyadic, "1:2", "1:6") == EXIT_OK
+
+    def test_grid_total_refused_at_once(self, config_file, tmp_path, capsys, monkeypatch):
+        # every cell is within the limit, but the 8 * 100000 cells together
+        # would run for hours
+        def reached(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr("frogz.cli.classify", reached)
+        out = tmp_path / "sweep.csv"
+        start = time.perf_counter()
+        rc = main(["sweep", "--config", config_file({"spec": R7_SPEC}), "--out", str(out),
+                   "--n-range", "1:8", "--l-range", "1:100000"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == (
+            "refused: sweep of 8 x 100000 series tests at modulus 2: modulus*L summed over the "
+            "cells = 80000800000 exceeds 100000000\n")
+        assert not out.exists()
+
+    def test_r7_cells_reuse_the_verdict_exponents(self, config_file, tmp_path, monkeypatch):
+        cfg = config_file({"spec": R7_SPEC})
+
+        def sweep(name):
+            out = tmp_path / name
+            rc = main(["sweep", "--config", cfg, "--out", str(out),
+                       "--n-range", "1:3", "--l-range", "1:5"])
+            assert rc == EXIT_OK
+            return out.read_text()
+
+        spec = SequenceSpec.from_dict(R7_SPEC)
+        assert {classify(ProcessParams(N=N, L=L, spec=spec)).trace[0].rule
+                for N in range(1, 4) for L in range(1, 6)} == {"R7"}
+        baseline = sweep("baseline.csv")
+
+        def second_call(*args):
+            raise AssertionError("min_alignment_exponent ran again for an R7 cell")
+
+        monkeypatch.setattr("frogz.cli.min_alignment_exponent", second_call)
+        assert sweep("reused.csv") == baseline
 
     def test_spec_analysed_once(self, config_file, tmp_path):
         from frogz.sequences import L0_L1
@@ -805,7 +855,8 @@ class TestStore:
         assert records["classify"]["config"] == json.loads(Path(cfg).read_text())
 
     def test_simulate_records_work(self, config_file, tmp_path):
-        # q = 0.95 everywhere: every frontier dies inside the first 64-site block
+        # q = 0.95 everywhere: every frontier is site 1 or 2.  A trial counts
+        # the sites up to the end of its frontier's scan block, times N * L
         dying = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.95}}]}
         cases = {"dying": ({"N": 1, "L": 2, "spec": dying}, 300, 500),
                  "mod2": ({"N": 2, "L": 2, "spec": MOD2_SPEC}, 150, 400)}
@@ -822,11 +873,10 @@ class TestStore:
                 assert rc == EXIT_OK
                 assert out.read_bytes() == plain.read_bytes()
                 works.setdefault(name, []).append(json.loads(store.read_text())["work"])
-        assert works["dying"] == [{"budgeted": 500 * 302 * 2, "evaluated": 500 * 64 * 2}] * 2
-        mod2 = works["mod2"]
-        assert mod2[0] == mod2[1]
-        assert mod2[0]["budgeted"] == 400 * 152 * 2 * 2
-        assert 400 * 64 * 4 <= mod2[0]["evaluated"] < mod2[0]["budgeted"]
+        # 483 frontiers at site 1 (block [1, 1]) and 17 at site 2 (block [2, 3])
+        assert works["dying"] == [{"budgeted": 500 * 302 * 2,
+                                   "evaluated": (483 * 1 + 17 * 3) * 2}] * 2
+        assert works["mod2"] == [{"budgeted": 400 * 152 * 2 * 2, "evaluated": 18772}] * 2
 
     def test_no_store_no_file(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC})

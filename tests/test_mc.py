@@ -13,6 +13,7 @@ from frogz.exact import partial_survival_product
 from frogz.mc import (
     _BLOCK,
     SimConfig,
+    _block_end,
     _frontiers,
     _left_thresholds,
     estimate_activation_profile,
@@ -154,18 +155,43 @@ class TestDeterminism:
             assert active == frozenset(range(1, max(active) + 1))
 
 
+def _array_thresholds(qs):
+    """_frontiers' thresholds(lo, hi) read from one array of per-site q."""
+    table = _left_thresholds(qs)
+    return lambda lo, hi: table[lo:hi]
+
+
+# the last site of each of the first scan blocks: they double in width up to
+# _BLOCK sites and then keep it
+_BLOCK_ENDS = [1, 3, 7, 15, 31, 63, 127, 191]
+
+
 class TestBlockedScan:
+    def test_block_ends(self):
+        S = 300
+        ends, lo = [], 0
+        while lo < S:
+            lo = int(_block_end(lo + 1, S))
+            ends.append(lo)
+        assert ends == _BLOCK_ENDS + [255, 300]
+        sites = np.arange(1, S + 1)
+        want = [min(e for e in ends if e >= i) for i in sites.tolist()]
+        assert _block_end(sites, S).tolist() == want
+
     @given(data=st.data(), N=st.integers(1, 4), L=st.integers(1, 4),
            seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 64))
     @settings(max_examples=80, deadline=None)
     def test_matches_unblocked_oracle(self, data, N, L, seed, trials):
-        # S = M + L tracked sites, below, on and just past block edges
-        S = data.draw(st.one_of(st.integers(2 * L + 1, _BLOCK - 1),
-                                st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK])))
+        # S tracked sites, below, on and just past block edges
+        S = data.draw(st.one_of(
+            st.integers(1, 2 * _BLOCK + 1),
+            st.sampled_from([e + d for e in _BLOCK_ENDS for d in (-1, 0, 1) if e + d >= 1])))
+        # run_trials tracks S = M + L sites with M > L
+        S_cfg = max(S, 2 * L + 1)
         q = data.draw(st.floats(0.02, 0.9))
-        cfg = make_cfg(single(ConstantForm(q=q)), N=N, L=L, horizon=S - L,
+        cfg = make_cfg(single(ConstantForm(q=q)), N=N, L=L, horizon=S_cfg - L,
                        trials=trials, seed=seed)
-        qs = cfg.params.spec.values(1, S + 1)
+        qs = cfg.params.spec.values(1, S_cfg + 1)
         assert np.array_equal(run_trials(cfg, threads=2),
                               unblocked_frontiers(qs, N, L, seed, 0, trials))
         # per-site laws mixing sure right steps, coin flips and sure left
@@ -173,19 +199,40 @@ class TestBlockedScan:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         qs = rng.choice([1e-9, 0.5, 1 - 1e-9], size=S, p=[0.8, 0.1, 0.1])
         lo = data.draw(st.integers(0, 2**40))
-        assert np.array_equal(_frontiers(_left_thresholds(qs), N, L, seed, lo, lo + trials),
+        assert np.array_equal(_frontiers(_array_thresholds(qs), S, N, L, seed, lo, lo + trials),
                               unblocked_frontiers(qs, N, L, seed, lo, lo + trials))
 
-    @pytest.mark.parametrize("L, want", [(1, _BLOCK + 1), (2, 3 * _BLOCK)])
-    def test_reach_carried_across_block_edge(self, L, want):
-        # every walk steps right, except on the first site of each block after
-        # the first, where it steps left: only a reach from the previous block
-        # (L >= 2) carries the frontier over that site
+    @pytest.mark.parametrize("L, stalls, want", [
+        # sites 65 and 129 (inside full-width blocks)
+        pytest.param(1, [_BLOCK + 1, 2 * _BLOCK + 1], _BLOCK + 1, id="1-65"),
+        pytest.param(2, [_BLOCK + 1, 2 * _BLOCK + 1], 3 * _BLOCK, id="2-192"),
+        # the first site of each block after the first
+        *[pytest.param(1, [e + 1], e + 1, id=f"1-first-site-{e + 1}") for e in _BLOCK_ENDS],
+        pytest.param(2, [e + 1 for e in _BLOCK_ENDS], 3 * _BLOCK, id="2-every-first-site"),
+    ])
+    def test_reach_carried_across_block_edge(self, L, stalls, want):
+        # every walk steps right, except on the stalling sites, where it steps
+        # left: only a reach from an earlier site (L >= 2) carries the frontier
+        # over one, from the previous block when the site starts a block
         qs = np.full(3 * _BLOCK, 1e-12)
-        qs[_BLOCK::_BLOCK] = 1 - 1e-12
-        got = _frontiers(_left_thresholds(qs), 1, L, 5, 0, 20)
+        qs[np.array(stalls) - 1] = 1 - 1e-12
+        got = _frontiers(_array_thresholds(qs), len(qs), 1, L, 5, 0, 20)
         assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
         assert np.all(got == want)
+
+    @pytest.mark.parametrize("chunk", [None, 3000])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_workers_match_unblocked_oracle(self, sqrt_spec, threads, chunk, monkeypatch):
+        # 3000 elements make 10 ranges at 1 or 2 workers and 12 at 3
+        import frogz.mc as mc_mod
+        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 4)
+        if chunk:
+            monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
+        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=21)
+        want = unblocked_frontiers(sqrt_spec.values(1, 201), 1, 3, 21, 0, 150)
+        # frontiers in every doubling block, a full one and the last one
+        assert set(_block_end(want, 200).tolist()) == {1, 3, 7, 15, 31, 63, 127, 200}
+        assert np.array_equal(run_trials(cfg, threads=threads), want)
 
     @pytest.mark.parametrize("q0", [0.5, 1 / 3, 0.1, 1 - 2.0**-53, 2.0**-60])
     def test_integer_threshold_matches_float_test(self, q0):
@@ -213,6 +260,25 @@ class TestBlockedScan:
             finally:
                 tracemalloc.stop()
         assert peak[20_000] <= 1.5 * peak[2_000], peak
+
+    def test_memory_bounded_by_the_chunk(self, inv_square_spec, sqrt_spec):
+        # per worker at most three arrays of _CHUNK_ELEMENTS uint64 words live
+        # at once (a block's step hashes, _mix's scratch and the site hashes),
+        # 6 MiB at 2**18; two workers plus 4 MiB for the per-trial arrays and
+        # the thresholds give the bound
+        import frogz.mc as mc_mod
+        bound = 16 * 2**20
+        assert 2 * 3 * 8 * mc_mod._CHUNK_ELEMENTS + 4 * 2**20 <= bound
+        # the two mc_survive configs of the benchmark
+        for cfg in (make_cfg(inv_square_spec, N=1, L=1, horizon=2000, trials=20_000),
+                    make_cfg(sqrt_spec, N=2, L=3, horizon=800, trials=10_000)):
+            tracemalloc.start()
+            try:
+                run_trials(cfg, threads=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (cfg.params.N, cfg.params.L, peak)
 
 
 class TestPhysicality:
