@@ -1,16 +1,29 @@
 """Monte Carlo simulation of the activation dynamics on a truncated interval.
 
-Randomness is counter-based: the uniform driving step t of particle p at site
-i in trial n is a pure hash of (seed, n, i, p, t).  That makes runs
-reproducible bit-for-bit regardless of worker count, and couples configs that
-share a seed: raising N appends particles and raising L appends steps without
-disturbing existing draws, so activated sets grow monotonically per trial.
-
 Because every walk is nearest-neighbor, the range of one particle is the
 interval [i + min cum, i + max cum], and the activated set is always the
-interval [1, h] for some frontier h.  A trial therefore reduces to a prefix-
-maximum scan over per-site rightmost reaches: the frontier is the first site
-h with max_{i <= h} (i + reach_i) == h.
+interval [1, h] for some frontier h.  A trial therefore depends on site i only
+through R_i in 0..L, the furthest right reach of its N particles within L
+steps, and reduces to a prefix-maximum scan: the frontier is the first site h
+with max_{i <= h} (i + R_i) == h.
+
+The law of R_i is exact.  A walk with right-step probability p = 1 - q first
+reaches d at step t = d + 2j with probability (d/t) C(t, j) p^(d+j) q^j (the
+ballot numbers), so reach(q, L, d) is the sum of these first-passage terms
+over t = d, d+2, ..., <= L, and P(R_i < d) = (1 - reach(q_i, L, d))^N
+(_miss_probs).  One uniform per (trial, site) then draws R_i by inverse CDF:
+R_i = #{d in 1..L : u >= P(R_i < d)}, compared as integers against
+T_{i,d} = ceil(P(R_i < d) * 2**53) with u's top 53 bits (_thresholds).
+
+Randomness is counter-based: the uniform of site i in trial n is a pure hash
+of (seed, n, i).  That makes runs reproducible bit-for-bit regardless of
+worker count, and couples configs that share a seed: raising N or L lowers
+every P(R_i < d) or leaves it, so for the same uniform R_i only grows, and
+activated sets grow monotonically per trial.  The float arithmetic keeps that
+order by construction: each reach is a sequential prefix sum in increasing t
+of terms that do not depend on L, followed by a running minimum over d, and
+the N-th power is formed by repeated multiplication by a factor <= 1, so the
+thresholds are nondecreasing in d and nonincreasing in N and in L.
 
 The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
@@ -19,15 +32,15 @@ maximum from one block to the next and drops a trial in the block where its
 frontier is found, so a trial that dies at site 1 costs one hashed site.
 Because every draw is a pure hash, this early exit returns exactly the
 frontiers of a full scan.  Trials are split into equal ranges, as many as the
-workers or a multiple of that, each hashing at most 2**18 elements
-(trials * 64 * N * L) per block, so memory stays near the L2 cache size
-whatever the horizon or the trial count, and a site's step law is evaluated
-once, when a trial first scans it.  The work a run records as evaluated is,
-summed over trials, the end of the block holding the frontier (at most S)
-times N * L.  A step goes left when (hash >> 11) < ceil(q * 2**53), which is
-exactly the float test (hash >> 11) * 2**-53 < q.  `simulate --profile`
-derives the activation profile from the same run (activation_profile), so one
-command is one MC pass.
+workers or a multiple of that, each hashing at most 2**18 trial-sites
+(trials * 64) per block, so memory stays near the L2 cache size whatever the
+horizon or the trial count.  A block's thresholds are evaluated once, when a
+trial first scans it, and shared by every range and worker: about L^2/4
+first-passage terms and N*L multiplications per site.  The work a run records
+as evaluated is, summed over trials, the end of the block holding the
+frontier (at most S): the hashed trial-sites.  `simulate --profile` derives
+the activation profile from the same run (activation_profile), so one command
+is one MC pass.
 """
 
 from __future__ import annotations
@@ -44,14 +57,12 @@ from . import exact
 from .classify import ProcessParams
 from .errors import OutOfRangeError, TooLargeError
 
-DEFAULT_WORK_BUDGET = 4_000_000_000  # trials * (M+L) * N * L
+DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
-_CHUNK_ELEMENTS = 2 ** 18     # trials * _BLOCK * N * L hashed at once per range
+_CHUNK_ELEMENTS = 2 ** 18     # trials * _BLOCK hashed at once per range; terms per threshold piece
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
-_K3 = np.uint64(0x165667B19E3779F9)
-_K4 = np.uint64(0xD6E8FEB86659FD93)
 _SHIFT = np.uint64(11)  # a hash's top 53 bits make its uniform
 
 
@@ -107,8 +118,14 @@ class SimResult:
     p_hat: float
     ci_low: float
     ci_high: float
-    site_counts: np.ndarray      # activation counts for sites 1..M
-    work: dict                   # hashed elements: "budgeted" and "evaluated"
+    work: dict                   # hashed trial-sites: "budgeted" and "evaluated"
+
+    @property
+    def site_counts(self) -> np.ndarray:
+        """Activation counts for sites 1..M, built on demand: O(M) memory."""
+        hist = np.bincount(self.max_sites, minlength=self.config.horizon + 1)
+        # E_i holds iff the frontier reached at least i
+        return np.cumsum(hist[::-1])[::-1][1:]
 
     def aggregate_dict(self) -> dict:
         return {
@@ -145,14 +162,60 @@ def wilson_interval(k, n: int, level: float = 0.95):
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
-def _left_thresholds(q: np.ndarray) -> np.ndarray:
-    """Integer thresholds T with (h >> 11) < T exactly when (h >> 11) * 2**-53 < q.
+def _miss_probs(q: np.ndarray, N: int, L: int) -> np.ndarray:
+    """P(R < d) for d = 1..L, an (L, sites) array: the chance that none of N
+    L-step walks from a site with left-step probability q reaches d.
 
-    q * 2**53 is exact in float64, and an integer k is below a real x iff it is
-    below ceil(x).  Clipping q to [0, 1] keeps T in [0, 2**53] without changing
-    any comparison, since (h >> 11) * 2**-53 always lies in [0, 1).
+    reach(q, L, d) sums the first-passage terms g_j = (d/t) C(t, j) p^(d+j) q^j
+    at t = d + 2j <= L in increasing t, each term from the one before it,
+    g_j = g_{j-1} * pq (t-2)(t-1) / (j (d+j)), starting at g_0 = p^d.  A term
+    depends on (q, d, j) only, so a longer lifetime only appends terms to each
+    sum.  A running minimum over d and the N-th power by repeated
+    multiplication keep the result nondecreasing in d and nonincreasing in N
+    and L.  q is taken as given: p = 1 - q may round to 1.
     """
-    return np.ceil(np.clip(q, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
+    q = np.clip(q, 0.0, 1.0)
+    p = 1.0 - q
+    pq = p * q
+    term = np.empty((L, q.size))
+    term[0] = p
+    for d in range(1, L):
+        np.multiply(term[d - 1], p, out=term[d])
+    reach = term.copy()
+    d = np.arange(1, L + 1)
+    for j in range(1, (L + 1) // 2):
+        t = d[:L - 2 * j] + 2 * j
+        term = term[:L - 2 * j] * (((t - 2) * (t - 1) / (j * (t - j)))[:, None] * pq)
+        reach[:L - 2 * j] += term
+    miss = np.maximum(1.0 - np.minimum.accumulate(reach, axis=0), 0.0)
+    power = miss.copy()
+    for _ in range(N - 1):
+        power *= miss
+    return power
+
+
+def _thresholds(prob: np.ndarray) -> np.ndarray:
+    """Integer thresholds T with (h >> 11) >= T exactly when (h >> 11) * 2**-53 >= prob.
+
+    prob * 2**53 is exact in float64, and an integer k is at least a real x iff
+    it is at least ceil(x).  Clipping prob to [0, 1] keeps T in [0, 2**53]
+    without changing any comparison, since (h >> 11) * 2**-53 always lies in
+    [0, 1).
+    """
+    return np.ceil(np.clip(prob, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
+
+
+def _reach_thresholds(q: np.ndarray, N: int, L: int) -> np.ndarray:
+    """T[d-1, i] = _thresholds(P(R_i < d)) for sites with left-step probabilities q.
+
+    Sites are taken in pieces of at most _CHUNK_ELEMENTS first-passage terms
+    (one site when a site alone has more), so scratch memory stays bounded.
+    """
+    out = np.empty((L, q.size), dtype=np.uint64)
+    step = max(1, _CHUNK_ELEMENTS // sum(range(L, 0, -2)))
+    for k in range(0, q.size, step):
+        out[:, k:k + step] = _thresholds(_miss_probs(q[k:k + step], N, L))
+    return out
 
 
 def _block_end(site, S: int):
@@ -167,32 +230,28 @@ def _block_end(site, S: int):
     return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
 
 
-def _block_thresholds(spec):
-    """thresholds(lo, hi): the left-step thresholds of sites lo+1..hi of `spec`.
+def _block_thresholds(spec, N: int, L: int):
+    """thresholds(lo, hi): the reach thresholds of sites lo+1..hi of `spec`, (L, hi-lo).
 
     Each block is evaluated once, on first use, and shared by every range and
     worker, so no more of the horizon is evaluated than some trial scans.
     """
     @functools.cache
     def thresholds(lo: int, hi: int) -> np.ndarray:
-        return _left_thresholds(spec.values(lo + 1, hi + 1))
+        return _reach_thresholds(spec.values(lo + 1, hi + 1), N, L)
     return thresholds
 
 
-def _frontiers(thresholds, S: int, N: int, L: int, seed: int,
-               trial_lo: int, trial_hi: int) -> np.ndarray:
+def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> np.ndarray:
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
-    thresholds(lo, hi) gives the left-step thresholds of sites lo+1..hi (see
-    _left_thresholds).  Sites are scanned in the blocks of _block_end,
+    thresholds(lo, hi) gives the reach thresholds of sites lo+1..hi (see
+    _reach_thresholds).  Sites are scanned in the blocks of _block_end,
     carrying each trial's running prefix maximum from block to block; a trial
     leaves the scan in the block where its frontier is found.
     """
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
-    particles = np.arange(N, dtype=np.uint64)
-    steps = np.arange(L, dtype=np.uint64)
-    pt = (steps * _K4)[:, None] ^ (particles * _K3)[None, :]         # (L,N)
 
     frontier = np.empty(len(trials), dtype=np.int64)
     live = np.arange(len(trials))       # positions in `frontier` still scanning
@@ -200,41 +259,37 @@ def _frontiers(thresholds, S: int, N: int, L: int, seed: int,
     lo = 0                              # sites scanned so far
     while len(live):
         hi = int(_block_end(lo + 1, S))
-        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        h2 = _mix(h1[:, None] ^ (idx.astype(np.uint64) * _K2)[None, :])   # (B,b)
-        # steps lead so the walk below runs over whole contiguous slabs
-        h3 = _mix(pt[:, :, None, None] ^ h2[None, None, :, :])            # (L,N,B,b)
-        left = np.right_shift(h3, _SHIFT, out=h3) < thresholds(lo, hi)
-        del h3
-        # position after t+1 steps is t+1 - 2 * (left steps so far); the
-        # origin itself counts as visited, so reach is never below 0
-        lefts = np.zeros(left.shape[1:], dtype=np.int32)
-        reach = np.zeros_like(lefts)
-        for t in range(L):
-            lefts += left[t]
-            np.maximum(reach, t + 1 - 2 * lefts, out=reach)
-        reach = reach.max(axis=0)                                    # (B,b)
-
-        far = np.minimum(idx[None, :] + reach, S)
-        far[:, 0] = np.maximum(far[:, 0], carry)
-        prefix = np.maximum.accumulate(far, axis=1)
-        stuck = prefix == idx[None, :]
+        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]      # sites lead: (b,1)
+        u = _mix((idx.astype(np.uint64) * _K2) ^ h1[None, :])           # (b,B)
+        np.right_shift(u, _SHIFT, out=u)
+        # the furthest site each site activates, i + R_i with R_i = #{d : u >= T_d}
+        rows = thresholds(lo, hi)[:, :, None]
+        far = idx + (u >= rows[0])
+        for row in rows[1:]:
+            far += u >= row
+        del u
+        np.minimum(far, S, out=far)
+        np.maximum(far[0], carry, out=far[0])
+        for k in range(1, hi - lo):     # the running prefix maximum, in place
+            np.maximum(far[k - 1], far[k], out=far[k])
+        stuck = far == idx
         # the last tracked site is always "stuck" after clipping, so every
         # trial leaves by the last block
-        done = stuck.any(axis=1)
-        frontier[live[done]] = lo + 1 + np.argmax(stuck[done], axis=1)
+        done = stuck.any(axis=0)
+        frontier[live[done]] = lo + 1 + np.argmax(stuck[:, done], axis=0)
         keep = ~done
-        live, h1, carry = live[keep], h1[keep], prefix[keep, -1]
+        live, h1, carry = live[keep], h1[keep], far[-1, keep]
         lo = hi
     return frontier
 
 
 def _check_budget(cfg: SimConfig) -> int:
     S = cfg.horizon + cfg.params.L
-    work = cfg.trials * S * cfg.params.N * cfg.params.L
+    N, L = cfg.params.N, cfg.params.L
+    work = S * L * max(cfg.trials * N, L)
     if work > DEFAULT_WORK_BUDGET:
         raise TooLargeError(
-            f"trials*sites*N*L = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
+            f"sites*L*max(trials*N, L) = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
         )
     return S
 
@@ -242,18 +297,16 @@ def _check_budget(cfg: SimConfig) -> int:
 def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg)
-    N, L = cfg.params.N, cfg.params.L
-    thresholds = _block_thresholds(cfg.params.spec)
-    per_trial = min(_BLOCK, S) * N * L
+    thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L)
     workers = max(1, min(threads, os.cpu_count() or 1))
     # equal ranges within the chunk bound, as many as the workers or a multiple
     # of it, so that every worker gets the same share
-    count = -(-cfg.trials * per_trial // _CHUNK_ELEMENTS)
+    count = -(-cfg.trials * min(_BLOCK, S) // _CHUNK_ELEMENTS)
     count = min(-(-count // workers) * workers, cfg.trials)
     bounds = [k * cfg.trials // count for k in range(count + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: _frontiers(thresholds, S, N, L, cfg.seed, *r), ranges))
+        parts = list(pool.map(lambda r: _frontiers(thresholds, S, cfg.seed, *r), ranges))
     return np.concatenate(parts)
 
 
@@ -261,24 +314,18 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     """One trial: (max activated site capped at M, the activated site set)."""
     if M <= params.L:
         raise OutOfRangeError(f"horizon must exceed L, got {M}")
-    h = int(_frontiers(_block_thresholds(params.spec), M + params.L, params.N, params.L,
-                       seed, trial, trial + 1)[0])
+    thresholds = _block_thresholds(params.spec, params.N, params.L)
+    h = int(_frontiers(thresholds, M + params.L, seed, trial, trial + 1)[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 
 def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
-    """Survival-to-horizon estimate with a Wilson interval, plus per-site counts."""
+    """Survival-to-horizon estimate with a Wilson interval; per-site counts on demand."""
     M = cfg.horizon
     frontiers = run_trials(cfg, threads=threads)
     survived = int(np.sum(frontiers >= M))
     lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
-    hist = np.bincount(np.minimum(frontiers, M), minlength=M + 1)
-    # E_i holds iff the frontier reached at least i
-    site_counts = np.cumsum(hist[::-1])[::-1][1:]
-    N, L = cfg.params.N, cfg.params.L
-    S = M + L
-    # a trial is scanned up to the end of the block holding its frontier
-    scanned = _block_end(frontiers, S)
+    S = M + cfg.params.L
     return SimResult(
         config=cfg,
         max_sites=np.minimum(frontiers, M),
@@ -286,9 +333,9 @@ def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
         p_hat=survived / cfg.trials,
         ci_low=lo,
         ci_high=hi,
-        site_counts=site_counts,
-        work={"budgeted": cfg.trials * S * N * L,
-              "evaluated": int(scanned.sum()) * N * L},
+        # a trial hashes the sites up to the end of the block holding its frontier
+        work={"budgeted": cfg.trials * S,
+              "evaluated": int(_block_end(frontiers, S).sum())},
     )
 
 

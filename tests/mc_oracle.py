@@ -1,19 +1,29 @@
 """Reference oracles for the Monte Carlo layer.
 
-`unblocked_frontiers` is the unblocked scan: it hashes every (trial, site,
-particle, step) of all S tracked sites and converts each hash to a float
-uniform.  The blocked, early-exit scan in `frogz.mc` must return the same
-frontiers.  `wilson_interval` is the one-count-at-a-time Wilson interval in
-Python floats; `frogz.mc.wilson_interval` on an array of counts must match it
-bit for bit.
+`unblocked_frontiers` is the unblocked scan: it hashes every (trial, site) of
+all S tracked sites, converts each hash to a float uniform and draws each
+site's reach by comparing floats with `frogz.mc._miss_probs`.  The blocked,
+early-exit scan in `frogz.mc`, which compares integers against per-block
+thresholds, must return the same frontiers.
+
+`miss_law` and `activation_law` are the exact frontier law, independent of
+`frogz.mc`'s threshold code: P(R < d) for one site comes from the 2^L path
+counts in `Fraction`, and P(E_i) = P(frontier >= i) from a forward recursion
+over the excess e_i = max_{j <= i}(j + R_j) - i, which obeys
+e_{i+1} = max(e_i - 1, R_{i+1}); the run is alive at site i while e_i >= 1.
+
+`wilson_interval` is the one-count-at-a-time Wilson interval in Python floats;
+`frogz.mc.wilson_interval` on an array of counts must match it bit for bit.
 """
 
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
-from frogz.mc import _K1, _K2, _K3, _K4, _mix
+from frogz.exact import _path_counts
+from frogz.mc import _K1, _K2, _miss_probs, _mix
 
 
 def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
@@ -25,20 +35,12 @@ def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
     S = len(q)
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     sites = np.arange(1, S + 1, dtype=np.uint64)
-    particles = np.arange(N, dtype=np.uint64)
-    steps = np.arange(L, dtype=np.uint64)
 
     h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
     h2 = _mix(h1[:, None] ^ (sites * _K2)[None, :])                  # (B,S)
-    pt = (particles * _K3)[:, None] ^ (steps * _K4)[None, :]         # (N,L)
-    h3 = _mix(h2[:, :, None, None] ^ pt[None, None, :, :])           # (B,S,N,L)
-    u = (h3 >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-    moves = np.where(u < q[None, :, None, None], -1, 1).astype(np.int32)
-    cum = np.cumsum(moves, axis=3)
-    # rightmost reach of any of the N walks from each site (never below 0:
-    # the origin itself counts as visited)
-    reach = np.maximum(cum.max(axis=3).max(axis=2), 0)               # (B,S)
+    u = (h2 >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    # R = #{d : u >= P(R < d)}, the inverse CDF of the site's reach
+    reach = (u[None, :, :] >= _miss_probs(q, N, L)[:, None, :]).sum(axis=0)   # (B,S)
 
     idx = np.arange(1, S + 1, dtype=np.int64)
     far = np.minimum(idx[None, :] + reach, S)
@@ -46,6 +48,45 @@ def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
     stuck = prefix == idx[None, :]
     # the last tracked site is always "stuck" after clipping, so argmax is safe
     return 1 + np.argmax(stuck, axis=1)
+
+
+def miss_law(q: float, N: int, L: int) -> list[Fraction]:
+    """P(R < d) for d = 1..L, exact for the float q: no walk of N reaches d.
+
+    Sums p^k q^(L-k) over the L-step paths whose running max is below d,
+    k being a path's number of right steps, with p = 1 - q as a rational.
+    """
+    q = Fraction(q)
+    p = 1 - q
+    count = _path_counts(L)
+    weight = [p ** k * q ** (L - k) for k in range(L + 1)]
+    miss, total = [], Fraction(0)
+    for d in range(1, L + 1):
+        total += sum(c * w for c, w in zip(count[d - 1], weight))
+        miss.append(total ** N)
+    return miss
+
+
+def activation_law(q: np.ndarray, N: int, L: int) -> np.ndarray:
+    """P(E_i) for i = 1..len(q) + 1, where q[i-1] is the left-step probability of site i.
+
+    v[e] is the probability of being alive with excess e after the sites so
+    far; it starts as excess 1 before site 1, so that e_1 = R_1.  Each site
+    shifts v down by one and takes the max with the site's reach, whose CDF
+    P(R <= x) = P(R < x + 1) is miss_law's, in floats; excess 0 dies.
+    """
+    cdfs = {}
+    v = np.zeros(L + 1)
+    v[1] = 1.0
+    alive = [1.0]
+    for qi in q.tolist():
+        if qi not in cdfs:
+            cdfs[qi] = np.array([float(m) for m in miss_law(qi, N, L)] + [1.0])
+        cdf = np.cumsum(np.append(v[1:], 0.0)) * cdfs[qi]
+        v = np.diff(cdf, prepend=0.0)
+        v[0] = 0.0
+        alive.append(float(v.sum()))
+    return np.array(alive)
 
 
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:

@@ -518,14 +518,31 @@ class TestSimulateCommand:
             run(4101)
         assert len(calls) == 1
 
-    def test_budget_refusal(self, config_file, tmp_path, capsys):
-        cfg = config_file(_sim(horizon=10**6, trials=10**4))
+    def _refused(self, config_file, tmp_path, capsys, keys, work):
+        cfg = config_file(_sim(**keys))
         out = tmp_path / "sim.jsonl"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
-        work = 10**4 * (10**6 + 2) * 2
         assert capsys.readouterr().err == (
-            f"refused: trials*sites*N*L = {work} exceeds the work budget 4000000000\n")
+            f"refused: sites*L*max(trials*N, L) = {work} exceeds the work budget 4000000000\n")
         assert not out.exists()
+
+    def test_budget_refusal(self, config_file, tmp_path, capsys):
+        # hashing: sites * L * trials * N, the old trials*sites*N*L
+        self._refused(config_file, tmp_path, capsys, {"horizon": 10**6, "trials": 10**4},
+                      (10**6 + 2) * 2 * 10**4)
+
+    def test_budget_counts_threshold_terms(self, config_file, tmp_path, capsys):
+        # L > trials * N: the first-passage terms, sites * L * L, decide
+        self._refused(config_file, tmp_path, capsys, {"L": 1000, "horizon": 5000, "trials": 1},
+                      6000 * 1000 * 1000)
+
+    def test_left_step_below_half_an_ulp(self, config_file, tmp_path):
+        # q_n = 1e-17/(n+1) <= 2**-54: 1 - q rounds to 1, every walk reaches L
+        spec = _form_spec({"kind": "power", "c": 1e-17, "alpha": 1, "offset": 1})
+        out = tmp_path / "sim.jsonl"
+        cfg = config_file(_sim(spec=spec, horizon=50, trials=100))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["result"]["p_hat"] == 1.0
 
     def test_profile_into_missing_directory_writes_nothing(self, config_file, tmp_path, capsys):
         # the JSONL used to be written before the profile failed
@@ -855,8 +872,8 @@ class TestStore:
         assert records["classify"]["config"] == json.loads(Path(cfg).read_text())
 
     def test_simulate_records_work(self, config_file, tmp_path):
-        # q = 0.95 everywhere: every frontier is site 1 or 2.  A trial counts
-        # the sites up to the end of its frontier's scan block, times N * L
+        # q = 0.95 everywhere: most frontiers are site 1.  A trial counts the
+        # sites it hashed, up to the end of its frontier's scan block
         dying = {"modulus": 1, "residues": [{"r": 0, "form": {"kind": "const", "q": 0.95}}]}
         cases = {"dying": ({"N": 1, "L": 2, "spec": dying}, 300, 500),
                  "mod2": ({"N": 2, "L": 2, "spec": MOD2_SPEC}, 150, 400)}
@@ -873,10 +890,11 @@ class TestStore:
                 assert rc == EXIT_OK
                 assert out.read_bytes() == plain.read_bytes()
                 works.setdefault(name, []).append(json.loads(store.read_text())["work"])
-        # 483 frontiers at site 1 (block [1, 1]) and 17 at site 2 (block [2, 3])
-        assert works["dying"] == [{"budgeted": 500 * 302 * 2,
-                                   "evaluated": (483 * 1 + 17 * 3) * 2}] * 2
-        assert works["mod2"] == [{"budgeted": 400 * 152 * 2 * 2, "evaluated": 18772}] * 2
+        # 467 frontiers at site 1 (block [1, 1]), 32 at sites 2 and 3 (block
+        # [2, 3]) and one at site 4 (block [4, 7])
+        assert works["dying"] == [{"budgeted": 500 * 302,
+                                   "evaluated": 467 * 1 + 32 * 3 + 1 * 7}] * 2
+        assert works["mod2"] == [{"budgeted": 400 * 152, "evaluated": 4569}] * 2
 
     def test_no_store_no_file(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC})

@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,21 +11,28 @@ from hypothesis import strategies as st
 
 from frogz.classify import ProcessParams
 from frogz.errors import OutOfRangeError, TooLargeError
-from frogz.exact import partial_survival_product
+from frogz.exact import a_n_array, partial_survival_product
 from frogz.mc import (
     _BLOCK,
     SimConfig,
     _block_end,
     _frontiers,
-    _left_thresholds,
+    _miss_probs,
+    _reach_thresholds,
+    _thresholds,
     estimate_activation_profile,
     estimate_survival,
     run_trials,
     simulate_trial,
     wilson_interval,
 )
-from frogz.sequences import ConstantForm, single
-from mc_oracle import unblocked_frontiers, wilson_interval as wilson_oracle
+from frogz.sequences import ConstantForm, SequenceSpec, single
+from mc_oracle import (
+    activation_law,
+    miss_law,
+    unblocked_frontiers,
+    wilson_interval as wilson_oracle,
+)
 
 
 def make_cfg(spec, N=1, L=1, horizon=50, trials=200, seed=7):
@@ -155,10 +164,10 @@ class TestDeterminism:
             assert active == frozenset(range(1, max(active) + 1))
 
 
-def _array_thresholds(qs):
-    """_frontiers' thresholds(lo, hi) read from one array of per-site q."""
-    table = _left_thresholds(qs)
-    return lambda lo, hi: table[lo:hi]
+def _array_thresholds(qs, N, L):
+    """_frontiers' thresholds(lo, hi) read from one table over all the per-site q."""
+    table = _reach_thresholds(qs, N, L)
+    return lambda lo, hi: table[:, lo:hi]
 
 
 # the last site of each of the first scan blocks: they double in width up to
@@ -199,7 +208,7 @@ class TestBlockedScan:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         qs = rng.choice([1e-9, 0.5, 1 - 1e-9], size=S, p=[0.8, 0.1, 0.1])
         lo = data.draw(st.integers(0, 2**40))
-        assert np.array_equal(_frontiers(_array_thresholds(qs), S, N, L, seed, lo, lo + trials),
+        assert np.array_equal(_frontiers(_array_thresholds(qs, N, L), S, seed, lo, lo + trials),
                               unblocked_frontiers(qs, N, L, seed, lo, lo + trials))
 
     @pytest.mark.parametrize("L, stalls, want", [
@@ -216,28 +225,29 @@ class TestBlockedScan:
         # over one, from the previous block when the site starts a block
         qs = np.full(3 * _BLOCK, 1e-12)
         qs[np.array(stalls) - 1] = 1 - 1e-12
-        got = _frontiers(_array_thresholds(qs), len(qs), 1, L, 5, 0, 20)
+        got = _frontiers(_array_thresholds(qs, 1, L), len(qs), 5, 0, 20)
         assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
         assert np.all(got == want)
 
     @pytest.mark.parametrize("chunk", [None, 3000])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_workers_match_unblocked_oracle(self, sqrt_spec, threads, chunk, monkeypatch):
-        # 3000 elements make 10 ranges at 1 or 2 workers and 12 at 3
+        # 3000 hashed trial-sites make 4 ranges at 1 or 2 workers and 6 at 3
         import frogz.mc as mc_mod
         monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 4)
         if chunk:
             monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
-        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=21)
-        want = unblocked_frontiers(sqrt_spec.values(1, 201), 1, 3, 21, 0, 150)
+        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
+        want = unblocked_frontiers(sqrt_spec.values(1, 201), 1, 3, 24, 0, 150)
         # frontiers in every doubling block, a full one and the last one
         assert set(_block_end(want, 200).tolist()) == {1, 3, 7, 15, 31, 63, 127, 200}
         assert np.array_equal(run_trials(cfg, threads=threads), want)
 
     @pytest.mark.parametrize("q0", [0.5, 1 / 3, 0.1, 1 - 2.0**-53, 2.0**-60])
     def test_integer_threshold_matches_float_test(self, q0):
+        # q is a probability P(R < d): the reach counts d where u >= q
         for q in (np.nextafter(q0, 0.0), q0, np.nextafter(q0, 1.0)):
-            T = int(_left_thresholds(np.array([q]))[0])
+            T = int(_thresholds(np.array([q]))[0])
             # hashes whose top 53 bits sit on either side of the threshold,
             # with the low 11 bits clear and set, plus random ones
             ks = [k for k in (T - 2, T - 1, T, T + 1) if 0 <= k < 2**53]
@@ -245,7 +255,7 @@ class TestBlockedScan:
             hs += np.random.default_rng(0).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
             h = np.array(hs, dtype=np.uint64)
             k = h >> np.uint64(11)
-            assert np.array_equal(k < np.uint64(T), k.astype(np.float64) * 2.0**-53 < q)
+            assert np.array_equal(k >= np.uint64(T), k.astype(np.float64) * 2.0**-53 >= q)
 
     def test_memory_does_not_grow_with_horizon(self):
         # dies within the first block, so the scan never reaches the horizon
@@ -262,10 +272,11 @@ class TestBlockedScan:
         assert peak[20_000] <= 1.5 * peak[2_000], peak
 
     def test_memory_bounded_by_the_chunk(self, inv_square_spec, sqrt_spec):
-        # per worker at most three arrays of _CHUNK_ELEMENTS uint64 words live
-        # at once (a block's step hashes, _mix's scratch and the site hashes),
-        # 6 MiB at 2**18; two workers plus 4 MiB for the per-trial arrays and
-        # the thresholds give the bound
+        # per worker at most three arrays of _CHUNK_ELEMENTS words of up to 8
+        # bytes live at once (a block's uniforms and _mix's scratch, or the
+        # uniforms, the far sites and a comparison mask), 6 MiB at 2**18; two
+        # workers plus 4 MiB for the per-trial arrays and the thresholds give
+        # the bound
         import frogz.mc as mc_mod
         bound = 16 * 2**20
         assert 2 * 3 * 8 * mc_mod._CHUNK_ELEMENTS + 4 * 2**20 <= bound
@@ -353,6 +364,19 @@ class TestEstimates:
         prof = estimate_activation_profile(cfg)
         assert np.all(np.diff(prof.p_hat) <= 1e-12)
 
+    def test_survival_memory_does_not_grow_with_horizon(self):
+        # one trial that dies at once: the per-site counts are built only
+        # when asked for, so nothing of size M is held
+        cfg = make_cfg(single(ConstantForm(q=0.9)), horizon=10**6, trials=1)
+        tracemalloc.start()
+        try:
+            res = estimate_survival(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert res.site_counts[0] == 1 and res.site_counts.shape == (10**6,)
+
     @given(seed=st.integers(0, 2**32), trials=st.integers(1, 64))
     @settings(max_examples=25, deadline=None)
     def test_phat_consistent_with_counts(self, seed, trials):
@@ -360,3 +384,87 @@ class TestEstimates:
         res = estimate_survival(cfg)
         assert res.p_hat == res.survival_count / trials
         assert res.ci_low - 1e-15 <= res.p_hat <= res.ci_high + 1e-15
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_spec(name):
+    return SequenceSpec.from_dict(json.loads((_CONFIGS / f"{name}.json").read_text())["spec"])
+
+
+class TestReachLaw:
+    # 32 units of 2**-53: a few roundings per first-passage term, the running
+    # sum and the N-th power, with room to spare
+    _ATOL = Fraction(32, 2**53)
+
+    @pytest.mark.parametrize("L", range(1, 15))
+    def test_miss_probs_match_path_counts(self, L):
+        rng = np.random.default_rng(L)
+        qs = np.concatenate([rng.random(4), 10.0 ** rng.uniform(-12, 0, 3),
+                             1 - 10.0 ** rng.uniform(-12, 0, 3), [1e-12, 2.0**-60, 1 - 1e-12]])
+        for N in (1, 2, 3, 4):
+            got = _miss_probs(qs, N, L)
+            for i, q in enumerate(qs.tolist()):
+                for d, want in enumerate(miss_law(q, N, L)):
+                    assert abs(Fraction(got[d, i]) - want) <= self._ATOL, (q, N, d + 1)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
+    def test_thresholds_never_invert(self, name):
+        # nondecreasing in d, nonincreasing in N and in L: the coupling of one
+        # uniform per (trial, site) across N and L stays monotone
+        qs = _config_spec(name).values(1, 3001)
+        T = {(N, L): _reach_thresholds(qs, N, L).astype(np.int64)
+             for N in range(1, 5) for L in range(1, 17)}
+        for (N, L), t in T.items():
+            assert np.all(np.diff(t, axis=0) >= 0), (N, L)
+            if N > 1:
+                assert np.all(t <= T[N - 1, L]), (N, L)
+            if L > 1:
+                assert np.all(t[:L - 1] <= T[N, L - 1]), (N, L)
+
+    def test_pieces_match_one_evaluation(self, monkeypatch):
+        import frogz.mc as mc_mod
+        qs = _config_spec("mod2_interleave").values(1, 200)
+        whole = _reach_thresholds(qs, 2, 5)
+        # 9 first-passage terms per site at L = 5: pieces of 3 sites
+        monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", 30)
+        assert np.array_equal(mc_mod._reach_thresholds(qs, 2, 5), whole)
+        assert np.array_equal(whole, _thresholds(_miss_probs(qs, 2, 5)))
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("M", [10, 200, 2000])
+    def test_inv_square_closed_form(self, inv_square_spec, M):
+        # q_n = 1/(n+1)^2, N = L = 1: P(E_M) = prod_{k=2..M}(1 - 1/k^2) = (M+1)/(2M)
+        law = activation_law(inv_square_spec.values(1, M), 1, 1)
+        assert law[-1] == pytest.approx((M + 1) / (2 * M), rel=1e-12)
+
+    # 4 standard errors for p_hat (two-sided 6e-5); 4.5 for the largest of the
+    # per-site counts (two-sided 7e-6 per site, under 6e-3 over 800 sites)
+    @pytest.mark.parametrize("name, N, L, M", [
+        ("sqrt_decay", 2, 3, 800),
+        ("mod2_interleave", 2, 2, 400),
+        ("dyadic_override", 1, 4, 200),
+    ])
+    def test_sampler_matches_law(self, name, N, L, M):
+        spec = _config_spec(name)
+        trials = 20_000
+        law = activation_law(spec.values(1, M), N, L)          # P(E_1..E_M)
+        res = estimate_survival(make_cfg(spec, N=N, L=L, horizon=M, trials=trials, seed=1),
+                                threads=2)
+        se = np.sqrt(law * (1 - law) / trials)
+        assert abs(res.p_hat - law[-1]) <= 4 * se[-1], (res.p_hat, law[-1])
+        z = (res.site_counts / trials - law)[se > 0] / se[se > 0]
+        assert np.max(np.abs(z)) <= 4.5
+        assert np.all(res.site_counts[se == 0] == trials * law[se == 0])
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
+    def test_telescoping_bound(self, name):
+        # the paper's lower bound, anchored at the exact P(E_{L+1}):
+        # P(E_{L+1}) prod_{k<=n}(1 - a_k) <= P(E_{n+L+1}), an equality at L = 1
+        config = json.loads((_CONFIGS / f"{name}.json").read_text())
+        spec, N, L, M = _config_spec(name), config["N"], config["L"], 300
+        law = activation_law(spec.values(1, M), N, L)
+        an = a_n_array(spec, N, L, 1, M - L)
+        assert np.all(law[L] * np.cumprod(1.0 - an) <= law[L + 1:] * (1 + 1e-12))
