@@ -27,26 +27,32 @@ thresholds are nondecreasing in d and nonincreasing in N and in L.
 
 The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
-63, 127, 191, ... (_block_end).  It carries each trial's running prefix
-maximum from one block to the next and drops a trial in the block where its
-frontier is found, so a trial that dies at site 1 costs one hashed site.
-Because every draw is a pure hash, this early exit returns exactly the
-frontiers of a full scan.  Trials are split into equal ranges, as many as the
-workers or a multiple of that, each hashing at most 2**18 trial-sites
-(trials * 64) per block, so memory stays near the L2 cache size whatever the
-horizon or the trial count.  A block's thresholds are evaluated once, when a
-trial first scans it, and shared by every range and worker: about L^2/4
-first-passage terms and N*L multiplications per site.  The work a run records
-as evaluated is, summed over trials, the end of the block holding the
-frontier (at most S): the hashed trial-sites.  `simulate --profile` derives
-the activation profile from the same run (activation_profile), so one command
-is one MC pass.
+63, 127, 191, ... (_block_end).  Since R_i <= L, site k is the frontier
+exactly when R_k = 0, no site among the L - 1 before it reaches past it, and
+no earlier block does either: R is counted in uint8 (uint16 for L >= 256),
+the in-block test is L - 1 shifted comparisons of R, and each trial carries
+the furthest site its earlier blocks reach.  A trial leaves the scan in the
+block where its frontier is found, so a trial that dies at site 1 costs one
+hashed site.  Because every draw is a pure hash, this early exit returns
+exactly the frontiers of a full scan.  Trials are split into equal ranges of
+about 4096, as many as the workers or a multiple of that, and each block is
+scanned over a range's live trials in slices of at most 2**16 trial-sites,
+hashed half a slice at a time into two reused arrays, so a worker holds at
+most 13 bytes per slice element (832 KiB) whatever the horizon or the trial
+count.  Thresholds are evaluated in pieces of sites 2**k..2**(k+1) - 1, once,
+when a trial first scans the piece, and shared by every range and worker:
+about L^2/4 first-passage terms and at most N*L multiplications per site, in
+O(log S) calls.  The work a run records as evaluated is, summed over trials,
+the end of the block holding the frontier (at most S): the hashed
+trial-sites.  `simulate --profile` derives the activation profile from the
+same run (activation_profile), so one command is one MC pass.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -59,16 +65,19 @@ from .errors import OutOfRangeError, TooLargeError
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
-_CHUNK_ELEMENTS = 2 ** 18     # trials * _BLOCK hashed at once per range; terms per threshold piece
+_CHUNK_ELEMENTS = 2 ** 16     # trial-sites per scan slice; L * sites per threshold piece
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _SHIFT = np.uint64(11)  # a hash's top 53 bits make its uniform
 
 
-def _mix(z):
-    """splitmix64 finalizer, elementwise on a uint64 array; overwrites and returns z."""
-    tmp = np.empty_like(z)
+def _mix(z, tmp=None):
+    """splitmix64 finalizer, elementwise on a uint64 array; overwrites and returns z.
+
+    tmp, if given, is scratch of z's shape.
+    """
+    tmp = np.empty_like(z) if tmp is None else tmp
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
@@ -172,7 +181,8 @@ def _miss_probs(q: np.ndarray, N: int, L: int) -> np.ndarray:
     depends on (q, d, j) only, so a longer lifetime only appends terms to each
     sum.  A running minimum over d and the N-th power by repeated
     multiplication keep the result nondecreasing in d and nonincreasing in N
-    and L.  q is taken as given: p = 1 - q may round to 1.
+    and L; the multiplication stops early, with the same result, once the
+    product is a fixed point.  q is taken as given: p = 1 - q may round to 1.
     """
     q = np.clip(q, 0.0, 1.0)
     p = 1.0 - q
@@ -189,7 +199,11 @@ def _miss_probs(q: np.ndarray, N: int, L: int) -> np.ndarray:
         reach[:L - 2 * j] += term
     miss = np.maximum(1.0 - np.minimum.accumulate(reach, axis=0), 0.0)
     power = miss.copy()
-    for _ in range(N - 1):
+    for n in range(1, N):
+        # a product that no longer changes (0, 1 or the smallest subnormal,
+        # whose products are slow) stays the same for every later n
+        if n % 64 == 0 and np.array_equal(power * miss, power):
+            break
         power *= miss
     return power
 
@@ -208,11 +222,11 @@ def _thresholds(prob: np.ndarray) -> np.ndarray:
 def _reach_thresholds(q: np.ndarray, N: int, L: int) -> np.ndarray:
     """T[d-1, i] = _thresholds(P(R_i < d)) for sites with left-step probabilities q.
 
-    Sites are taken in pieces of at most _CHUNK_ELEMENTS first-passage terms
-    (one site when a site alone has more), so scratch memory stays bounded.
+    Sites are taken in pieces of at most _CHUNK_ELEMENTS // L (one site when
+    L is larger), so each (L, sites) array of _miss_probs stays bounded.
     """
     out = np.empty((L, q.size), dtype=np.uint64)
-    step = max(1, _CHUNK_ELEMENTS // sum(range(L, 0, -2)))
+    step = max(1, _CHUNK_ELEMENTS // L)
     for k in range(0, q.size, step):
         out[:, k:k + step] = _thresholds(_miss_probs(q[k:k + step], N, L))
     return out
@@ -230,15 +244,25 @@ def _block_end(site, S: int):
     return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
 
 
-def _block_thresholds(spec, N: int, L: int):
+def _block_thresholds(spec, N: int, L: int, S: int):
     """thresholds(lo, hi): the reach thresholds of sites lo+1..hi of `spec`, (L, hi-lo).
 
-    Each block is evaluated once, on first use, and shared by every range and
-    worker, so no more of the horizon is evaluated than some trial scans.
+    Sites are evaluated in pieces that double in width, 2**k..2**(k+1) - 1
+    cut at S, each once, on first use, and shared by every range and worker;
+    a scan block never crosses a piece edge.  So a run evaluates O(log S)
+    pieces and at most twice the sites some trial scans.
     """
+    lock = threading.Lock()
+
     @functools.cache
+    def piece(k: int) -> np.ndarray:
+        return _reach_thresholds(spec.values(1 << k, min(2 << k, S + 1)), N, L)
+
     def thresholds(lo: int, hi: int) -> np.ndarray:
-        return _reach_thresholds(spec.values(lo + 1, hi + 1), N, L)
+        k = (lo + 1).bit_length() - 1
+        with lock:                      # a worker waits for a piece another is evaluating
+            table = piece(k)
+        return table[:, lo + 1 - (1 << k):hi + 1 - (1 << k)]
     return thresholds
 
 
@@ -246,39 +270,64 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
     thresholds(lo, hi) gives the reach thresholds of sites lo+1..hi (see
-    _reach_thresholds).  Sites are scanned in the blocks of _block_end,
-    carrying each trial's running prefix maximum from block to block; a trial
-    leaves the scan in the block where its frontier is found.
+    _reach_thresholds).  Sites are scanned in the blocks of _block_end, each
+    over the live trials in slices of at most _CHUNK_ELEMENTS trial-sites.
+    Since R_i <= L, site k is the frontier when R_k = 0 and no site among the
+    L - 1 before it reaches past it, the earlier blocks' furthest reach being
+    carried per trial; a trial leaves the scan in the block where its frontier
+    is found.
     """
     trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
 
     frontier = np.empty(len(trials), dtype=np.int64)
     live = np.arange(len(trials))       # positions in `frontier` still scanning
-    carry = np.zeros(len(trials), dtype=np.int64)  # prefix max up to the block
+    carry = np.zeros(len(trials), dtype=np.int64)  # max of i + R_i over sites 1..lo
     lo = 0                              # sites scanned so far
+    # uint64 words and _mix scratch for a piece of a slice: at most half of
+    # it, or one site's row
+    size = min(max(_CHUNK_ELEMENTS // 2, len(trials)), _CHUNK_ELEMENTS, _BLOCK * len(trials))
+    words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     while len(live):
-        hi = int(_block_end(lo + 1, S))
-        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]      # sites lead: (b,1)
-        u = _mix((idx.astype(np.uint64) * _K2) ^ h1[None, :])           # (b,B)
-        np.right_shift(u, _SHIFT, out=u)
-        # the furthest site each site activates, i + R_i with R_i = #{d : u >= T_d}
+        hi = min(2 * lo + 1, lo + _BLOCK, S)   # _block_end(lo + 1, S) in Python ints
+        b = hi - lo
         rows = thresholds(lo, hi)[:, :, None]
-        far = idx + (u >= rows[0])
-        for row in rows[1:]:
-            far += u >= row
-        del u
-        np.minimum(far, S, out=far)
-        np.maximum(far[0], carry, out=far[0])
-        for k in range(1, hi - lo):     # the running prefix maximum, in place
-            np.maximum(far[k - 1], far[k], out=far[k])
-        stuck = far == idx
-        # the last tracked site is always "stuck" after clipping, so every
-        # trial leaves by the last block
-        done = stuck.any(axis=0)
-        frontier[live[done]] = lo + 1 + np.argmax(stuck[:, done], axis=0)
-        keep = ~done
-        live, h1, carry = live[keep], h1[keep], far[-1, keep]
+        L = len(rows)
+        tail = min(L - 1, b)            # the last sites, which may reach past hi
+        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]      # sites lead: (b,1)
+        keys = idx.astype(np.uint64) * _K2
+        done = np.zeros(len(live), dtype=bool)
+        step = max(1, _CHUNK_ELEMENTS // b)
+        for part in (slice(a, a + step) for a in range(0, len(live), step)):
+            h = h1[part]
+            reach = np.empty((b, len(h)), dtype=np.uint8 if L < 256 else np.uint16)
+            n = max(1, _CHUNK_ELEMENTS // 2 // len(h))                 # rows per piece
+            for r in range(0, b, n):    # R_i = #{d : u >= T_d}
+                rs = slice(r, r + n)
+                shape = (len(keys[rs]), len(h))
+                u = np.bitwise_xor(keys[rs], h, out=words[:shape[0] * shape[1]].reshape(shape))
+                _mix(u, scratch[:u.size].reshape(shape))
+                np.right_shift(u, _SHIFT, out=u)
+                # the first comparison writes the counts, the others add to them
+                np.greater_equal(u, rows[0, rs], out=reach[rs], casting="unsafe")
+                for row in rows[1:, rs]:
+                    reach[rs] += u >= row
+            stuck = reach == 0
+            for m in range(1, min(L, b)):
+                stuck[m:] &= reach[:-m] <= m
+            if tail:
+                c = carry[part]
+                stuck[:tail] &= idx[:tail] >= c
+                far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
+                np.maximum(c, far.max(axis=0) + np.int64(lo + 1), out=c)
+            if hi == S:                 # every trial leaves by the last site
+                stuck[-1] = True
+            d = stuck.any(axis=0)
+            done[part] = d
+            frontier[live[part][d]] = lo + 1 + np.argmax(stuck[:, d], axis=0)
+        if done.any():
+            keep = ~done
+            live, h1, carry = live[keep], h1[keep], carry[keep]
         lo = hi
     return frontier
 
@@ -297,11 +346,12 @@ def _check_budget(cfg: SimConfig) -> int:
 def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg)
-    thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L)
+    thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L, S)
     workers = max(1, min(threads, os.cpu_count() or 1))
-    # equal ranges within the chunk bound, as many as the workers or a multiple
-    # of it, so that every worker gets the same share
-    count = -(-cfg.trials * min(_BLOCK, S) // _CHUNK_ELEMENTS)
+    # equal ranges of at most a 16-site slice of trials, so the five narrowest
+    # blocks scan a whole range at once, and as many ranges as the workers or
+    # a multiple of it, so that every worker gets the same share
+    count = -(-cfg.trials // max(1, _CHUNK_ELEMENTS // 16))
     count = min(-(-count // workers) * workers, cfg.trials)
     bounds = [k * cfg.trials // count for k in range(count + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
@@ -314,8 +364,9 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     """One trial: (max activated site capped at M, the activated site set)."""
     if M <= params.L:
         raise OutOfRangeError(f"horizon must exceed L, got {M}")
-    thresholds = _block_thresholds(params.spec, params.N, params.L)
-    h = int(_frontiers(thresholds, M + params.L, seed, trial, trial + 1)[0])
+    S = M + params.L
+    thresholds = _block_thresholds(params.spec, params.N, params.L, S)
+    h = int(_frontiers(thresholds, S, seed, trial, trial + 1)[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 

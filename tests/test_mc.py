@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -232,7 +233,8 @@ class TestBlockedScan:
     @pytest.mark.parametrize("chunk", [None, 3000])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_workers_match_unblocked_oracle(self, sqrt_spec, threads, chunk, monkeypatch):
-        # 3000 hashed trial-sites make 4 ranges at 1 or 2 workers and 6 at 3
+        # 3000 trial-sites per slice: a range of 150 trials takes several
+        # slices of the wider blocks, one range per worker
         import frogz.mc as mc_mod
         monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 4)
         if chunk:
@@ -272,14 +274,14 @@ class TestBlockedScan:
         assert peak[20_000] <= 1.5 * peak[2_000], peak
 
     def test_memory_bounded_by_the_chunk(self, inv_square_spec, sqrt_spec):
-        # per worker at most three arrays of _CHUNK_ELEMENTS words of up to 8
-        # bytes live at once (a block's uniforms and _mix's scratch, or the
-        # uniforms, the far sites and a comparison mask), 6 MiB at 2**18; two
-        # workers plus 4 MiB for the per-trial arrays and the thresholds give
-        # the bound
+        # per worker at most 13 bytes per slice element: half a slice of
+        # uint64 uniforms and _mix's scratch (8), the reach counts (1, 2 from
+        # L = 256), the stuck mask (1) and a comparison mask or the uint16
+        # reach ends (2), 1.625 MiB for two workers at 2**16; plus 1 MiB for
+        # the per-trial arrays and the thresholds
         import frogz.mc as mc_mod
-        bound = 16 * 2**20
-        assert 2 * 3 * 8 * mc_mod._CHUNK_ELEMENTS + 4 * 2**20 <= bound
+        bound = 11 * 2**18
+        assert 2 * 13 * mc_mod._CHUNK_ELEMENTS + 2**20 <= bound
         # the two mc_survive configs of the benchmark
         for cfg in (make_cfg(inv_square_spec, N=1, L=1, horizon=2000, trials=20_000),
                     make_cfg(sqrt_spec, N=2, L=3, horizon=800, trials=10_000)):
@@ -290,6 +292,37 @@ class TestBlockedScan:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (cfg.params.N, cfg.params.L, peak)
+
+    def test_memory_per_trial(self, sqrt_spec):
+        # 2 * 10**5 trials: the two workers' slice scratch, 16 bytes per trial
+        # (the ranges' frontiers and their concatenation) and 1 MiB for the
+        # range arrays and the thresholds
+        import frogz.mc as mc_mod
+        trials = 200_000
+        cfg = make_cfg(sqrt_spec, N=2, L=3, horizon=60, trials=trials)
+        tracemalloc.start()
+        try:
+            run_trials(cfg, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 13 * mc_mod._CHUNK_ELEMENTS + 16 * trials + 2**20, peak
+
+    @pytest.mark.parametrize("L", [1, 2, 63, 64, 65, 255, 256, 300])
+    def test_long_reach_matches_unblocked_oracle(self, L):
+        # reach counts are uint8 up to L = 255 and uint16 from 256.  Sure
+        # right steps reach L sites, past several blocks and over sure-left
+        # stalls; q = 0.6 makes short reaches
+        S = 2 * L + 70
+        qs = np.random.default_rng(L).choice([1e-3, 0.6, 1 - 1e-9], size=S, p=[0.1, 0.8, 0.1])
+        qs[0] = 0.6
+        got = _frontiers(_array_thresholds(qs, 1, L), S, 9, 0, 40)
+        assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 9, 0, 40))
+        # through run_trials, with thresholds evaluated in doubling pieces
+        cfg = make_cfg(single(ConstantForm(q=0.6)), N=1, L=L, horizon=L + 70, trials=40, seed=9)
+        want = unblocked_frontiers(cfg.params.spec.values(1, S + 1), 1, L, 9, 0, 40)
+        assert len(set(want.tolist())) >= 4
+        assert np.array_equal(run_trials(cfg, threads=2), want)
 
 
 class TestPhysicality:
@@ -409,6 +442,18 @@ class TestReachLaw:
                 for d, want in enumerate(miss_law(q, N, L)):
                     assert abs(Fraction(got[d, i]) - want) <= self._ATOL, (q, N, d + 1)
 
+    @pytest.mark.parametrize("L", [1, 2, 5, 9])
+    def test_power_is_repeated_multiplication(self, L):
+        # the early exit at a fixed point returns the product of all N factors
+        rng = np.random.default_rng(L)
+        qs = np.concatenate([rng.random(50), [0.0, 1.0, 1e-17, 0.5, 1 - 1e-12, 1e-12]])
+        miss = _miss_probs(qs, 1, L)
+        power = miss.copy()
+        for N in range(2, 3001):
+            power *= miss
+            if N in (63, 64, 65, 128, 129, 3000):
+                assert np.array_equal(_miss_probs(qs, N, L), power), N
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
     def test_thresholds_never_invert(self, name):
         # nondecreasing in d, nonincreasing in N and in L: the coupling of one
@@ -431,6 +476,42 @@ class TestReachLaw:
         monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", 30)
         assert np.array_equal(mc_mod._reach_thresholds(qs, 2, 5), whole)
         assert np.array_equal(whole, _thresholds(_miss_probs(qs, 2, 5)))
+
+
+    def test_thresholds_evaluated_per_piece(self, monkeypatch):
+        # one surviving trial scans all 38 blocks of S = 2002 sites; the
+        # thresholds come in the 11 doubling pieces 2**k..2**(k+1) - 1, one
+        # _miss_probs call each at L = 2, so the N-th power runs 11 times
+        import frogz.mc as mc_mod
+        calls = []
+
+        def counted(q, N, L):
+            calls.append(q.size)
+            return _miss_probs(q, N, L)
+        monkeypatch.setattr(mc_mod, "_miss_probs", counted)
+        cfg = make_cfg(single(ConstantForm(q=0.5)), N=10**5, L=2, horizon=2000, trials=1)
+        assert mc_mod.run_trials(cfg).tolist() == [2002]
+        assert calls == [2**k for k in range(10)] + [2002 - 1023]
+
+    def test_pieces_evaluated_once_by_racing_workers(self, monkeypatch):
+        # 8 workers on 2 cores, switching threads every microsecond, all
+        # reach every piece at about the same time: each is evaluated once
+        import frogz.mc as mc_mod
+        calls = []
+
+        def counted(q, N, L):
+            calls.append(q.size)
+            return _miss_probs(q, N, L)
+        monkeypatch.setattr(mc_mod, "_miss_probs", counted)
+        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 8)
+        cfg = make_cfg(single(ConstantForm(q=1e-6)), N=1, L=2, horizon=2000, trials=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert mc_mod.run_trials(cfg, threads=8).tolist() == [2002] * 8
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted([2**k for k in range(10)] + [2002 - 1023])
 
 
 class TestExactLaw:
