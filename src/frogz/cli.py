@@ -168,13 +168,13 @@ def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
         for p in p_grid:
             law = WalkLaw(p_right=p, steps=L)
             for d in range(1, L + 1):
-                dp = reach_prob(law, d)
+                reach = reach_prob(law, d)
                 oracle = brute_force_reach(law, d)
                 checked += 1
-                if abs(dp - oracle) > 1e-12:
-                    failures.append(("reach", p, L, d, dp, oracle))
-    # one batched DP per (N, L, position) serves every q; it runs at its first
-    # use, so outcomes and errors come in the (q, N, L) order of single checks
+                if abs(reach - oracle) > 1e-12:
+                    failures.append(("reach", p, L, d, reach, oracle))
+    # one reach table per (N, L, position) serves every q; it is computed at its
+    # first use, so outcomes and errors come in the (q, N, L) order of single checks
     specs = [single(ConstantForm(q=qv)) for qv in q_grid]
     grid = {}
     for i, qv in enumerate(q_grid):

@@ -1,18 +1,21 @@
 """Exact finite computations for the finite-lifetime walk system.
 
-Single-walk reach probabilities by dynamic programming (with a 2^L
+Single-walk reach probabilities from first-passage sums (with a 2^L
 path-enumeration oracle), the block quantities a_n, the two-sided sandwich
 bounds around them, and truncated survival products.
 
-The reach DP runs on an array of walks at once.  Tables, profiles and bound
-checks reach it through one per-position path, `_positions`, which makes one
-DP call per block position over every block of a batch; `reach_prob` is an
-array of one.  Each step does the scalar recurrence's IEEE operations in its
-order, so a batched value is bit-identical to a one-walk value.  Powers use
-Python's `**` on each element, never np.power, whose last bit can differ from
-`**`.  The DP is float64 only: a step probability of another number type
-(a fractions.Fraction, say) is converted once with float() where it enters,
-and exact rationals live only in the path-count oracle, brute_force_reach.
+_reach_sums is the package's one reach law: the Monte Carlo draws each site's
+reach from it too (mc._miss_probs).  It runs on an array of walks at once,
+for every displacement d = 1..L.  Tables, profiles and bound checks reach it
+through one per-position path, `_positions`, which makes one call per block
+position over every block of a batch and reads the row of that position's
+displacement; `reach_prob` is an array of one.  Every element goes through
+the same IEEE operations in the same order, so a batched value is
+bit-identical to a one-walk value.  Powers use Python's `**` on each element,
+never np.power, whose last bit can differ from `**`.  The sums are float64
+only: a step probability of another number type (a fractions.Fraction, say)
+is converted once with float() where it enters, and exact rationals live
+only in the path-count oracle, brute_force_reach.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import BoundViolationError, OutOfRangeError, TooLargeError
 from .sequences import SequenceSpec
 
 ENUMERATION_MAX_STEPS = 20  # 2^L guard for the brute-force oracle
-_DP_CELLS = 1 << 14         # mass cells of one batched DP: sets the blocks per chunk
+_DP_CELLS = 1 << 14         # twice a position's (L, sites) reach table: sets the blocks per chunk
 _LDEXP_MAX = 2200           # 2^2200 * (smallest subnormal) already exceeds 1
-_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of one block query: about its DP cell updates
+_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of one block query: 4 times its first-passage terms
 
 
 def f(j: int, L: int | None = None) -> int:
@@ -65,43 +68,41 @@ class WalkLaw:
             raise OutOfRangeError(f"steps must be >= 1, got {self.steps}")
 
 
-def _reach_dp(p: np.ndarray, L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(running max of an L-step walk reaches d), for each right-step probability in p.
+def _reach_sums(q: np.ndarray, L: int) -> np.ndarray:
+    """reach[d-1, i] = P(an L-step walk with left-step probability q[i] reaches d),
+    for d = 1..L: an (L, sites) array.
 
-    Forward DP over (time, displacement) with an absorbing barrier at d.
-    mass[s + L + 1, w] is the probability that walk w sits at displacement s
-    in [-L, d-1], not yet absorbed; row 0 stays zero and the last row holds
-    the absorbed mass.  Per step, cell k takes mass[k-1]*p and then adds
-    mass[k+1]*q, and the top cell's mass*p is added to the absorbed mass.
-    Returns the absorbed mass and, per walk, whether retained + absorbed mass
-    stayed within 1e-12 of 1 at every step.
+    A walk with right-step probability p = 1 - q first reaches d at step
+    t = d + 2j with probability (d/t) C(t, j) p^(d+j) q^j (the ballot numbers;
+    Feller, vol. 1, ch. III), so reach is the sum of these first-passage terms
+    g_j at t <= L in increasing t, each term from the one before it,
+    g_j = g_{j-1} * pq (t-2)(t-1) / (j (d+j)), starting at g_0 = p^d.  A term
+    depends on (q, d, j) only, so a longer lifetime only appends terms to each
+    sum.  q is taken as given: p = 1 - q may round to 1.
     """
-    q = 1 - p
-    mass = np.zeros((L + d + 2, p.size))
-    mass[L + 1] = 1.0
-    new = mass.copy()
-    totals = np.empty((L, p.size))
-    for t in range(L):
-        np.multiply(mass[:-1], p, out=new[1:])
-        new[1:-2] += mass[2:-1] * q
-        new[-1] += mass[-1]
-        mass, new = new, mass
-        np.add.reduce(mass, axis=0, out=totals[t])  # row by row, like a sum over a list
-    return mass[-1], (np.abs(totals - 1.0) <= 1e-12).all(axis=0)
+    p = 1.0 - q
+    pq = p * q
+    term = np.empty((L, q.size))
+    term[0] = p
+    for d in range(1, L):
+        np.multiply(term[d - 1], p, out=term[d])
+    reach = term.copy()
+    d = np.arange(1, L + 1)
+    for j in range(1, (L + 1) // 2):
+        t = d[:L - 2 * j] + 2 * j
+        term = term[:L - 2 * j] * (((t - 2) * (t - 1) / (j * (t - j)))[:, None] * pq)
+        reach[:L - 2 * j] += term
+    return reach
 
 
 def reach_prob(law: WalkLaw, d: int) -> float:
-    """P(running max of the walk reaches displacement d within its steps), a float.
-
-    Conservation (retained + absorbed mass = 1) is asserted at every step.
-    """
+    """P(running max of the walk reaches displacement d within its steps), a float."""
     if d < 1:
         raise OutOfRangeError(f"displacement must be >= 1, got {d}")
     if d > law.steps:
         return 0.0
-    absorbed, conserved = _reach_dp(np.array([law.p_right], dtype=np.float64), law.steps, d)
-    assert conserved[0]
-    return absorbed.tolist()[0]
+    q = np.array([1 - float(law.p_right)])
+    return _reach_sums(q, law.steps)[d - 1].tolist()[0]
 
 
 @lru_cache(maxsize=None)
@@ -151,20 +152,6 @@ def brute_force_reach(law: WalkLaw, d: int):
                for k in range(L + 1))
 
 
-def _miss_probs(p: np.ndarray, N: int, L: int, d: int):
-    """(1 - reach)^N: P(no walk of N reaches d <= L), per right-step probability in p.
-
-    Returns the list of probabilities and the walks that fail, as {index:
-    error}: a p outside (0, 1) fails as WalkLaw would, a DP that loses mass
-    fails as reach_prob's assertion would.
-    """
-    valid = (0 < p) & (p < 1)
-    reach, conserved = _reach_dp(p, L, d)
-    bad = np.flatnonzero(~(valid & conserved)).tolist()
-    return [m ** N for m in (1 - reach).tolist()], {
-        i: AssertionError() if valid[i] else _p_right_error(p[i:i + 1].tolist()[0]) for i in bad}
-
-
 def _sandwich(q: np.ndarray, N: int, L: int, j: int) -> tuple[list, list]:
     """Bounds at block position j for sites with left-step probabilities q:
     lower = q^(N f(j)) <= P(no particle from n+j visits n+L+1) <= upper =
@@ -188,8 +175,11 @@ def _sandwich(q: np.ndarray, N: int, L: int, j: int) -> tuple[list, list]:
 
 def _positions(columns: list[list], N: int, L: int):
     """Per position j = 1..L of a batch of blocks, whose q at j is columns[j - 1]:
-    (lower, miss, upper) lists from _sandwich and _miss_probs, and the walks
-    that fail at j as {block index: error}.  Every block query comes through here.
+    (lower, miss, upper) lists, and the walks that fail at j as {block index:
+    error}.  lower and upper come from _sandwich; miss is (1 - reach)^N, reach
+    being row d = L + 1 - j of _reach_sums.  A walk fails as WalkLaw would,
+    when its right-step probability 1 - q lies outside (0, 1).  Every block
+    query comes through here.
     """
     if N < 1:
         raise OutOfRangeError(f"need N >= 1, got {N}")
@@ -200,8 +190,10 @@ def _positions(columns: list[list], N: int, L: int):
     for j, column in enumerate(columns, 1):
         q = np.array(column, dtype=np.float64)
         lower, upper = _sandwich(q, N, L, j)
-        miss, bad = _miss_probs(1 - q, N, L, L + 1 - j)
-        yield lower, miss, upper, bad
+        miss = [m ** N for m in (1 - _reach_sums(q, L)[L - j]).tolist()]
+        p = 1 - q
+        bad = np.flatnonzero(~((0 < p) & (p < 1))).tolist()
+        yield lower, miss, upper, {i: _p_right_error(p[i].item()) for i in bad}
 
 
 def check_blocks(blocks: int, L: int) -> None:
@@ -215,7 +207,7 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order.
 
     lower and upper are the products of the per-position bounds.  Blocks go in
-    chunks; for each position j one batched DP covers the chunk's sites n + j,
+    chunks; for each position j one batched call covers the chunk's sites n + j,
     and each q_i comes from spec.value once per chunk.  A walk that fails
     raises when its block is reached, so the first error is the one a
     block-by-block, position-by-position loop meets first.  A query of more
@@ -246,7 +238,7 @@ def a_n(spec: SequenceSpec, N: int, L: int, n: int):
 
 
 def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.ndarray:
-    """a_n for blocks n in [start, stop), one DP per block position and chunk."""
+    """a_n for blocks n in [start, stop), one reach table per block position and chunk."""
     return np.array([an for _, an, _ in _blocks(spec, N, L, start, stop)], dtype=np.float64)
 
 
@@ -260,7 +252,7 @@ class BoundReport:
 
 
 def bound_reports(specs: list[SequenceSpec], N: int, L: int, n: int) -> list:
-    """bound_check of block n for several specs, one DP per position: each spec's
+    """bound_check of block n for several specs, one reach table per position: each spec's
     reports, or the error its bound_check raises (the first in position order).
     """
     columns = [[spec.value(n + j) for spec in specs] for j in range(1, L + 1)]

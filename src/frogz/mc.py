@@ -7,11 +7,10 @@ through R_i in 0..L, the furthest right reach of its N particles within L
 steps, and reduces to a prefix-maximum scan: the frontier is the first site h
 with max_{i <= h} (i + R_i) == h.
 
-The law of R_i is exact.  A walk with right-step probability p = 1 - q first
-reaches d at step t = d + 2j with probability (d/t) C(t, j) p^(d+j) q^j (the
-ballot numbers), so reach(q, L, d) is the sum of these first-passage terms
-over t = d, d+2, ..., <= L, and P(R_i < d) = (1 - reach(q_i, L, d))^N
-(_miss_probs).  One uniform per (trial, site) then draws R_i by inverse CDF:
+The law of R_i is exact: P(R_i < d) = (1 - reach(q_i, L, d))^N
+(_miss_probs), where reach is the single-walk first-passage sum of the exact
+layer (exact._reach_sums), the same law its block quantities a_n read.  One
+uniform per (trial, site) then draws R_i by inverse CDF:
 R_i = #{d in 1..L : u >= P(R_i < d)}, compared as integers against
 T_{i,d} = ceil(P(R_i < d) * 2**53) with u's top 53 bits (_thresholds).
 
@@ -62,6 +61,7 @@ import numpy as np
 from . import exact
 from .classify import ProcessParams
 from .errors import OutOfRangeError, TooLargeError
+from .exact import _reach_sums
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
@@ -175,28 +175,14 @@ def _miss_probs(q: np.ndarray, N: int, L: int) -> np.ndarray:
     """P(R < d) for d = 1..L, an (L, sites) array: the chance that none of N
     L-step walks from a site with left-step probability q reaches d.
 
-    reach(q, L, d) sums the first-passage terms g_j = (d/t) C(t, j) p^(d+j) q^j
-    at t = d + 2j <= L in increasing t, each term from the one before it,
-    g_j = g_{j-1} * pq (t-2)(t-1) / (j (d+j)), starting at g_0 = p^d.  A term
-    depends on (q, d, j) only, so a longer lifetime only appends terms to each
-    sum.  A running minimum over d and the N-th power by repeated
-    multiplication keep the result nondecreasing in d and nonincreasing in N
-    and L; the multiplication stops early, with the same result, once the
-    product is a fixed point.  q is taken as given: p = 1 - q may round to 1.
+    Each single-walk reach is a first-passage sum of _reach_sums, in which a
+    longer lifetime only appends terms.  A running minimum over d and the N-th
+    power by repeated multiplication keep the result nondecreasing in d and
+    nonincreasing in N and L; the multiplication stops early, with the same
+    result, once the product is a fixed point.  q is taken as given: p = 1 - q
+    may round to 1.
     """
-    q = np.clip(q, 0.0, 1.0)
-    p = 1.0 - q
-    pq = p * q
-    term = np.empty((L, q.size))
-    term[0] = p
-    for d in range(1, L):
-        np.multiply(term[d - 1], p, out=term[d])
-    reach = term.copy()
-    d = np.arange(1, L + 1)
-    for j in range(1, (L + 1) // 2):
-        t = d[:L - 2 * j] + 2 * j
-        term = term[:L - 2 * j] * (((t - 2) * (t - 1) / (j * (t - j)))[:, None] * pq)
-        reach[:L - 2 * j] += term
+    reach = _reach_sums(np.clip(q, 0.0, 1.0), L)
     miss = np.maximum(1.0 - np.minimum.accumulate(reach, axis=0), 0.0)
     power = miss.copy()
     for n in range(1, N):

@@ -1,18 +1,41 @@
 """Reference oracle for the exact layer: one walk, one block at a time.
 
-This is the scalar form of `frogz.exact`: a pure-Python reach DP called once
-per (block, position), the 2^L enumeration of every path's probability, the
-position-by-position bound check and the block-by-block table loop.  The
-batched DP, the path-counts oracle, the batched bound checks and tables in
-`frogz.exact` must give the same values bit for bit, and the same first error
-(type and message).  The upper bound here is the plain
-`2 ** (N*L) * lower`, so keep N*L < 1024 when comparing against it.
+This is the scalar form of `frogz.exact`: the first-passage sums of one walk
+in pure Python, called once per (block, position), the 2^L enumeration of
+every path's probability, the position-by-position bound check and the
+block-by-block table loop.  The sums do the same float operations in the same
+order as `frogz.exact._reach_sums`, so the batched sums, the batched bound
+checks and tables in `frogz.exact` must give the same values bit for bit, and
+the same first error (type and message).  Given a `Fraction`, the sums are
+exact.  The upper bound here is the plain `2 ** (N*L) * lower`, so keep
+N*L < 1024 when comparing against it.
 """
 
-import math
+from fractions import Fraction
 
 from frogz.errors import BoundViolationError, OutOfRangeError
 from frogz.exact import BoundReport, ReachRow, WalkLaw, f
+
+
+def reach_sums(q, L: int) -> list:
+    """reach[d-1] for d = 1..L: P(an L-step walk with left-step probability q reaches d).
+
+    The first-passage terms g_j = (d/t) C(t, j) p^(d+j) q^j at t = d + 2j <= L,
+    summed in increasing t, each term from the one before it.
+    """
+    p = 1 - q
+    pq = p * q
+    term = [p]
+    for _ in range(1, L):
+        term.append(term[-1] * p)
+    reach = list(term)
+    for j in range(1, (L + 1) // 2):
+        for d in range(1, L - 2 * j + 1):
+            t = d + 2 * j
+            # a float pq takes the correctly rounded quotient, as numpy does
+            term[d - 1] = term[d - 1] * (Fraction((t - 2) * (t - 1), j * (t - j)) * pq)
+            reach[d - 1] = reach[d - 1] + term[d - 1]
+    return reach
 
 
 def reach_prob(law: WalkLaw, d: int):
@@ -21,33 +44,7 @@ def reach_prob(law: WalkLaw, d: int):
     L = law.steps
     if d > L:
         return 0.0
-    p = law.p_right
-    q = 1 - p
-    one = p + q
-    # mass[s + L] = probability of sitting at displacement s, not yet absorbed
-    mass = [0 * p] * (L + d)
-    mass[L] = one
-    absorbed = 0 * p
-    exact = not isinstance(p, float)
-    for _ in range(L):
-        new = [0 * p] * (L + d)
-        for idx, m in enumerate(mass):
-            if m == 0:
-                continue
-            up = idx + 1
-            if up == L + d:
-                absorbed = absorbed + m * p
-            else:
-                new[up] = new[up] + m * p
-            if idx > 0:
-                new[idx - 1] = new[idx - 1] + m * q
-        mass = new
-        total = absorbed + sum(mass)
-        if exact:
-            assert total == one
-        else:
-            assert math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-12)
-    return absorbed
+    return reach_sums(1 - law.p_right, L)[d - 1]
 
 
 def max_displacement_dist(p, L: int):
@@ -71,14 +68,14 @@ def max_displacement_dist(p, L: int):
     return tuple(dist)
 
 
-def not_visit_prob(q_i, N: int, L: int, delta: int):
+def not_visit_prob(q_i, N: int, L: int, d: int):
+    """P(none of N walks from a site with left-step probability q_i reaches d)."""
     if N < 1:
         raise OutOfRangeError(f"need N >= 1, got {N}")
-    d = abs(delta)
     if d > L:
         return 1.0
-    p = (1 - q_i) if delta > 0 else q_i
-    return (1 - reach_prob(WalkLaw(p, L), d)) ** N
+    WalkLaw(1 - q_i, L)  # refuses a right-step probability outside (0, 1)
+    return (1 - reach_sums(q_i, L)[d - 1]) ** N
 
 
 def a_n(spec, N: int, L: int, n: int):

@@ -2,15 +2,18 @@
 
 `unblocked_frontiers` is the unblocked scan: it hashes every (trial, site) of
 all S tracked sites, converts each hash to a float uniform and draws each
-site's reach by comparing floats with `frogz.mc._miss_probs`.  The blocked,
-early-exit scan in `frogz.mc`, which compares integers against per-block
-thresholds, must return the same frontiers.
+site's reach by comparing floats with the MC's law, `frogz.mc._miss_probs`
+(the first-passage sums of `frogz.exact._reach_sums`, made monotone in d and
+raised to the N-th power).  The blocked, early-exit scan in `frogz.mc`, which
+compares integers against per-block thresholds, must return the same
+frontiers.
 
 `miss_law` and `activation_law` are the exact frontier law, independent of
-`frogz.mc`'s threshold code: P(R < d) for one site comes from the 2^L path
-counts in `Fraction`, and P(E_i) = P(frontier >= i) from a forward recursion
-over the excess e_i = max_{j <= i}(j + R_j) - i, which obeys
-e_{i+1} = max(e_i - 1, R_{i+1}); the run is alive at site i while e_i >= 1.
+the first-passage sums and of `frogz.mc`'s threshold code: P(R < d) for one
+site comes from the 2^L path counts in `Fraction`, and P(E_i) = P(frontier >= i)
+from a forward recursion over the excess e_i = max_{j <= i}(j + R_j) - i,
+which obeys e_{i+1} = max(e_i - 1, R_{i+1}); the run is alive at site i while
+e_i >= 1.
 
 `wilson_interval` is the one-count-at-a-time Wilson interval in Python floats;
 `frogz.mc.wilson_interval` on an array of counts must match it bit for bit.

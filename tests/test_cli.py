@@ -404,6 +404,16 @@ class TestExactCommand:
         assert capsys.readouterr().err == "invalid input: need N >= 1 and L >= 1, got N=1, L=0\n"
         assert not out.exists()
 
+    def test_left_step_below_half_an_ulp_is_refused(self, config_file, tmp_path, capsys):
+        # q_n = 1e-17/(n+1) <= 2**-54: the walk's right-step probability 1 - q
+        # rounds to 1, which the exact layer refuses
+        spec = _form_spec({"kind": "power", "c": 1e-17, "alpha": 1, "offset": 1})
+        cfg = config_file({"N": 1, "L": 2, "spec": spec})
+        out = tmp_path / "table.csv"
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid input: p_right must be in (0,1), got 1.0\n"
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("threads", ["0", "-1", "x"])
@@ -543,6 +553,17 @@ class TestSimulateCommand:
         cfg = config_file(_sim(spec=spec, horizon=50, trials=100))
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["result"]["p_hat"] == 1.0
+
+    def test_profile_left_step_below_half_an_ulp_is_refused(self, config_file, tmp_path, capsys):
+        # the sampler takes q as given, but the profile's exact curve refuses
+        # the right-step probability 1 - q = 1.0, as `exact` does
+        spec = _form_spec({"kind": "power", "c": 1e-17, "alpha": 1, "offset": 1})
+        out, prof = tmp_path / "sim.jsonl", tmp_path / "profile.csv"
+        cfg = config_file(_sim(spec=spec, horizon=50, trials=100))
+        rc = main(["simulate", "--config", cfg, "--out", str(out), "--profile", str(prof)])
+        assert rc == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid input: p_right must be in (0,1), got 1.0\n"
+        assert not out.exists() and not prof.exists()
 
     def test_profile_into_missing_directory_writes_nothing(self, config_file, tmp_path, capsys):
         # the JSONL used to be written before the profile failed
@@ -753,29 +774,30 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.3, 0.5, 0.7, 0.9]])
     def test_sandwich_grid_is_one_dp_per_position(self, config_file, monkeypatch, q_grid):
         import frogz.exact as exact_mod
-        dp, calls = exact_mod._reach_dp, []
+        sums, calls = exact_mod._reach_sums, []
 
-        def counting(p, L, d):
-            calls.append((p.size, L, d))
-            return dp(p, L, d)
+        def counting(q, L):
+            calls.append((q.size, L))
+            return sums(q, L)
 
-        monkeypatch.setattr(exact_mod, "_reach_dp", counting)
+        monkeypatch.setattr(exact_mod, "_reach_sums", counting)
         cfg = config_file({"l_max": 4, "p_grid": [], "q_grid": q_grid, "N_grid": [1, 2, 3]})
         assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
-        assert calls == [(len(q_grid), L, L + 1 - j)
+        assert calls == [(len(q_grid), L)
                          for N in (1, 2, 3) for L in range(1, 5) for j in range(1, L + 1)]
 
     def test_violations_in_q_N_L_order(self, config_file, tmp_path, capsys, monkeypatch):
         import frogz.exact as exact_mod
         from frogz.exact import BoundReport
-        miss_probs = exact_mod._miss_probs
+        sums = exact_mod._reach_sums
 
-        def too_likely(p, N, L, d):
-            # the walks of q = 0.7 and q = 0.3 (right-step probability 1 - q)
-            probs, bad = miss_probs(p, N, L, d)
-            return [2.0 if x in (1 - 0.7, 1 - 0.3) else m for x, m in zip(p.tolist(), probs)], bad
+        def too_likely(q, L):
+            # the walks of q = 0.7 and q = 0.3 miss with probability 2, so N walks 2^N
+            reach = sums(q, L)
+            reach[:, (q == 0.7) | (q == 0.3)] = -1.0
+            return reach
 
-        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
+        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
         cfg = config_file({"l_max": 3, "p_grid": [], "q_grid": [0.7, 0.1, 0.3, 0.9],
                            "N_grid": [1, 2]})
         out = tmp_path / "verify.json"
@@ -784,7 +806,7 @@ class TestVerifyCommand:
         for q in (0.7, 0.3):
             for N in (1, 2):
                 for L in (1, 2, 3):
-                    rep = BoundReport(1, q, q ** N, 2.0, min(1.0, 2 ** (N * L) * q ** N))
+                    rep = BoundReport(1, q, q ** N, 2.0 ** N, min(1.0, 2 ** (N * L) * q ** N))
                     want.append(["bound", q, N, L, f"sandwich violated: {rep}"])
         report = json.loads(out.read_text())
         assert report["failures"] == want

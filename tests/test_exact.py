@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
@@ -59,7 +60,7 @@ class TestReach:
         assert reach_prob(law, 1) == pytest.approx(0.6 + 0.4 * 0.6 * 0.6)
 
     def test_exact_fraction(self):
-        # the DP is float64: a Fraction p_right is converted once, and 1/4 is a float
+        # the sums are float64: a Fraction p_right is converted once, and 1/4 is a float
         got = reach_prob(WalkLaw(p_right=Fraction(1, 2), steps=2), 2)
         assert type(got) is float
         assert got == 0.25
@@ -118,13 +119,10 @@ class TestSandwich:
             assert rep.prob <= rep.upper * (1 + 1e-12)
 
     def test_violation_raises(self, monkeypatch):
-        miss_probs = exact_mod._miss_probs
+        def too_likely(q, L):
+            return np.full((L, q.size), -1.0)  # every walk misses with probability 2
 
-        def too_likely(p, N, L, d):
-            probs, bad = miss_probs(p, N, L, d)
-            return [2.0] * len(probs), bad
-
-        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
+        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
         with pytest.raises(BoundViolationError):
             bound_check(single(ConstantForm(q=0.5)), 1, 2, 0)
 
@@ -182,7 +180,7 @@ class TestActivationProducts:
         assert len(build_reach_table(const_spec, N=1, L=1, n_max=0)) == 1
 
 
-# -- the batched DP against the one-walk, one-block oracle ---------------------
+# -- the batched sums against the one-walk, one-block oracle -------------------
 
 
 def outcome(fn, *args):
@@ -241,6 +239,15 @@ class TestBatchedReach:
                     assert type(got) is float
                     assert got == reach_prob(WalkLaw(p_right=float(p), steps=L), d)
 
+    def test_first_passage_sums_are_the_path_counts(self):
+        # both sides are polynomials of degree <= L in p, so agreeing exactly at
+        # L + 1 distinct points makes them the same polynomial
+        for L in range(1, 15):
+            for p in (Fraction(k, L + 2) for k in range(1, L + 2)):
+                law = WalkLaw(p_right=p, steps=L)
+                reach = oracle.reach_sums(1 - p, L)
+                assert reach == [brute_force_reach(law, d) for d in range(1, L + 1)], L
+
     def test_counts_oracle_equals_enumeration(self):
         for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
             for L in range(1, 11):
@@ -292,24 +299,24 @@ class TestBatchedTable:
         assert got[1].startswith(message)
 
     @pytest.mark.parametrize("index, j, error", [
-        (2, 1, AssertionError),   # (n=2, j=1) comes before the p_right failure at (2, 2)
-        (2, 2, OutOfRangeError),  # same walk: the law is checked before its DP runs
+        (2, 2, OutOfRangeError),  # same walk: its failure stops the table before the check
         (3, 1, OutOfRangeError),  # a later block
     ])
     def test_first_failure_in_block_position_order(self, monkeypatch, index, j, error):
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not): with L=2,
-        # site 4 fails first at n=2, j=2
+        # site 4 fails first at n=2, j=2; a sandwich violation is injected at
+        # block `index`, position j
         spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
         L = 2
-        dp = exact_mod._reach_dp
+        sums = exact_mod._reach_sums
 
-        def leaky(p, steps, d):
-            reach, conserved = dp(p, steps, d)
-            if p.size > index and d == L + 1 - j:
-                conserved[index] = False
-            return reach, conserved
+        def too_likely(q, steps):
+            reach = sums(q, steps)
+            if q.size > index:
+                reach[L - j, index] = -1.0
+            return reach
 
-        monkeypatch.setattr(exact_mod, "_reach_dp", leaky)
+        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
         with pytest.raises(error):
             build_reach_table(spec, 1, L, 5)
 
@@ -341,36 +348,28 @@ class TestBatchedBoundCheck:
         got = exact_mod.bound_reports(batch, N, L, n)
         assert [r if isinstance(r, list) else (type(r), str(r)) for r in got] == want
 
-    @pytest.mark.parametrize("leak_j, violate_j, error", [
-        (None, None, OutOfRangeError),   # site 4, at j = 2, has 1 - q_4 == 1.0
-        (1, None, AssertionError),       # a walk that loses mass at j = 1 comes first
-        (None, 1, BoundViolationError),  # so does a violation at j = 1
-        (None, 2, OutOfRangeError),      # at j = 2 the walk fails before the check
-    ])
-    def test_first_failure_in_position_order(self, monkeypatch, leak_j, violate_j, error):
+    @pytest.mark.parametrize("violate_j, error", [
+        (None, OutOfRangeError),   # site 4, at j = 2, has 1 - q_4 == 1.0
+        (1, BoundViolationError),  # a violation at j = 1 comes first
+        (2, OutOfRangeError),      # at j = 2 the walk fails before the check
+    ], ids=["None-None-OutOfRangeError", "None-1-BoundViolationError",
+            "None-2-OutOfRangeError"])
+    def test_first_failure_in_position_order(self, monkeypatch, violate_j, error):
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not)
         spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
         L = 2
-        dp, miss_probs = exact_mod._reach_dp, exact_mod._miss_probs
+        sums = exact_mod._reach_sums
 
-        def leaky(p, steps, d):
-            reach, conserved = dp(p, steps, d)
-            if leak_j is not None and d == L + 1 - leak_j:
-                conserved[:] = False
-            return reach, conserved
+        def too_likely(q, steps):
+            reach = sums(q, steps)
+            if violate_j is not None:
+                reach[L - violate_j] = -1.0
+            return reach
 
-        def too_likely(p, N, steps, d):
-            probs, bad = miss_probs(p, N, steps, d)
-            if violate_j is not None and d == L + 1 - violate_j:
-                probs = [2.0] * len(probs)
-            return probs, bad
-
-        monkeypatch.setattr(exact_mod, "_reach_dp", leaky)
-        monkeypatch.setattr(exact_mod, "_miss_probs", too_likely)
+        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
         with pytest.raises(error):
             bound_check(spec, 1, L, 2)
         outcomes = exact_mod.bound_reports([single(ConstantForm(q=0.5)), spec], 1, L, 2)
         assert isinstance(outcomes[1], error)
         # the q = 0.5 block fails only by an injection, which hits every walk
-        injected = leak_j is not None or violate_j is not None
-        assert isinstance(outcomes[0], Exception if injected else list)
+        assert isinstance(outcomes[0], list if violate_j is None else BoundViolationError)

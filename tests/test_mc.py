@@ -472,9 +472,16 @@ class TestReachLaw:
         import frogz.mc as mc_mod
         qs = _config_spec("mod2_interleave").values(1, 200)
         whole = _reach_thresholds(qs, 2, 5)
-        # 9 first-passage terms per site at L = 5: pieces of 3 sites
+        # _CHUNK_ELEMENTS // L = 6 sites per piece at L = 5: the 199 sites take 34 pieces
+        sizes = []
+
+        def counted(q, N, L):
+            sizes.append(q.size)
+            return _miss_probs(q, N, L)
+        monkeypatch.setattr(mc_mod, "_miss_probs", counted)
         monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", 30)
         assert np.array_equal(mc_mod._reach_thresholds(qs, 2, 5), whole)
+        assert sizes == [6] * 33 + [1]
         assert np.array_equal(whole, _thresholds(_miss_probs(qs, 2, 5)))
 
 
