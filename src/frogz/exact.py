@@ -7,15 +7,14 @@ bounds around them, and truncated survival products.
 _reach_sums is the package's one reach law: the Monte Carlo draws each site's
 reach from it too (mc._miss_probs).  It runs on an array of walks at once,
 for every displacement d = 1..L.  Tables, profiles and bound checks reach it
-through one per-position path, `_positions`, which makes one call per block
-position over every block of a batch and reads the row of that position's
-displacement; `reach_prob` is an array of one.  Every element goes through
-the same IEEE operations in the same order, so a batched value is
-bit-identical to a one-walk value.  Powers use Python's `**` on each element,
-never np.power, whose last bit can differ from `**`.  The sums are float64
-only: a step probability of another number type (a fractions.Fraction, say)
-is converted once with float() where it enters, and exact rationals live
-only in the path-count oracle, brute_force_reach.
+through one block-grid path, `_block_grid`, which sums each site of a batch
+once and reads the row of each block position's displacement; `reach_prob` is
+an array of one.  A batched value is bit-identical to a one-walk value: every
+element goes through the same IEEE operations in the same order, and powers
+use Python's `**` on each element, never np.power, whose last bit can differ.
+The sums are float64 only: a step probability of another number type (a
+fractions.Fraction, say) is converted once with float() where it enters, and
+exact rationals live only in the path-count oracle, brute_force_reach.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from .errors import BoundViolationError, OutOfRangeError, TooLargeError
 from .sequences import SequenceSpec
 
 ENUMERATION_MAX_STEPS = 20  # 2^L guard for the brute-force oracle
-_DP_CELLS = 1 << 14         # twice a position's (L, sites) reach table: sets the blocks per chunk
+_DP_CELLS = 1 << 14         # cells of an (L, sites) piece of the sums; a chunk's grid has half
 _LDEXP_MAX = 2200           # 2^2200 * (smallest subnormal) already exceeds 1
-_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of one block query: 4 times its first-passage terms
+_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of a block query, which sums ~(blocks + L) L^2 / 4 terms
 
 
 def f(j: int, L: int | None = None) -> int:
@@ -152,48 +151,48 @@ def brute_force_reach(law: WalkLaw, d: int):
                for k in range(L + 1))
 
 
-def _sandwich(q: np.ndarray, N: int, L: int, j: int) -> tuple[list, list]:
-    """Bounds at block position j for sites with left-step probabilities q:
-    lower = q^(N f(j)) <= P(no particle from n+j visits n+L+1) <= upper =
-    min(1, 2^(NL) lower).
+def _block_grid(q: np.ndarray, sites: np.ndarray, N: int, L: int):
+    """The sandwich of a (blocks, L) grid: cell [i, j - 1] is block i's walk at
+    position j, from site s = sites[i, j - 1], with left-step probability q[s].
 
-    upper is lower scaled by 2^(NL), exact and capped at 1, which never forms
-    the float 2^(NL) (it overflows once NL >= 1024).  Where q^(N f(j)) fell
-    below the normal floats, that product has lost its digits, so upper comes
-    from logs: 2^(NL + N f(j) log2 q).
-    """
-    k = N * f(j, L)
-    lower = [x ** k for x in q.tolist()]
-    low = np.array(lower)
-    with np.errstate(over="ignore", divide="ignore"):
-        upper = np.ldexp(low, min(N * L, _LDEXP_MAX))
-        tiny = low < np.finfo(np.float64).tiny
-        if tiny.any():
-            upper[tiny] = np.exp2(N * L + k * np.log2(q[tiny]))
-    return lower, np.minimum(1.0, upper).tolist()
-
-
-def _positions(columns: list[list], N: int, L: int):
-    """Per position j = 1..L of a batch of blocks, whose q at j is columns[j - 1]:
-    (lower, miss, upper) lists, and the walks that fail at j as {block index:
-    error}.  lower and upper come from _sandwich; miss is (1 - reach)^N, reach
-    being row d = L + 1 - j of _reach_sums.  A walk fails as WalkLaw would,
-    when its right-step probability 1 - q lies outside (0, 1).  Every block
-    query comes through here.
+    Returns the grids lower <= miss <= upper and, per block, None or (j, error)
+    for its first walk that fails as WalkLaw would, its 1 - q outside (0, 1).
+    miss = (1 - reach)^N reads row d = L + 1 - j of the site's _reach_sums,
+    summed once per site, _DP_CELLS // L sites at a time.  lower = q^(N f(j)).
+    upper = min(1, 2^(NL) lower) scales lower exactly, never forming the float
+    2^(NL) (it overflows once NL >= 1024); where lower fell below the normal
+    floats and lost its digits, it comes from logs: 2^(NL + N f(j) log2 q).
     """
     if N < 1:
         raise OutOfRangeError(f"need N >= 1, got {N}")
+    if L < 1:
+        raise OutOfRangeError(f"need L >= 1, got {L}")
     try:
         float(N * L)
     except OverflowError as exc:
         raise OutOfRangeError("N*L is too large for float bounds") from exc
-    for j, column in enumerate(columns, 1):
-        q = np.array(column, dtype=np.float64)
-        lower, upper = _sandwich(q, N, L, j)
-        miss = [m ** N for m in (1 - _reach_sums(q, L)[L - j]).tolist()]
-        p = 1 - q
-        bad = np.flatnonzero(~((0 < p) & (p < 1))).tolist()
-        yield lower, miss, upper, {i: _p_right_error(p[i].item()) for i in bad}
+    miss, step = np.empty(sites.shape), max(1, _DP_CELLS // L)
+    for first in range(0, q.size, step):
+        reach = _reach_sums(q[first:first + step], L)
+        piece = (first <= sites) & (sites < first + step)
+        for j in np.flatnonzero(piece.any(axis=0)).tolist():
+            miss[piece[:, j], j] = 1 - reach[L - 1 - j, sites[piece[:, j], j] - first]
+    lower, upper = np.empty(sites.shape), np.empty(sites.shape)
+    for j in range(1, L + 1):
+        col, k = q[sites[:, j - 1]], N * f(j, L)
+        low = np.array([x ** k for x in col.tolist()])
+        with np.errstate(over="ignore", divide="ignore"):
+            up = np.ldexp(low, min(N * L, _LDEXP_MAX))
+            tiny = low < np.finfo(np.float64).tiny
+            if tiny.any():
+                up[tiny] = np.exp2(N * L + k * np.log2(col[tiny]))
+        lower[:, j - 1], upper[:, j - 1] = low, np.minimum(1.0, up)
+        miss[:, j - 1] = [m ** N for m in miss[:, j - 1].tolist()]
+    p = 1 - q
+    fails = [None] * len(sites)
+    for i, j in reversed(np.argwhere(~((0 < p) & (p < 1))[sites]).tolist()):
+        fails[i] = (j + 1, _p_right_error(p[sites[i, j]].item()))
+    return lower, miss, upper, fails
 
 
 def check_blocks(blocks: int, L: int) -> None:
@@ -204,14 +203,13 @@ def check_blocks(blocks: int, L: int) -> None:
 
 
 def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
-    """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order.
-
-    lower and upper are the products of the per-position bounds.  Blocks go in
-    chunks; for each position j one batched call covers the chunk's sites n + j,
-    and each q_i comes from spec.value once per chunk.  A walk that fails
-    raises when its block is reached, so the first error is the one a
-    block-by-block, position-by-position loop meets first.  A query of more
-    than _DP_WORK_MAX blocks * L^3 is refused before any q is formed.
+    """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order:
+    the products, in position order, of a row of _block_grid.  Blocks go in
+    chunks of B, each one grid over the chunk's B + L - 1 sites (block n's walk
+    at position j starts from site n + j), so each q_i comes from spec.value
+    once per chunk.  A walk that fails raises when its block is reached: the
+    first error a block-by-block, position-by-position loop meets.  A query of
+    more than _DP_WORK_MAX blocks * L^3 is refused before any q is formed.
     """
     if start < 0:
         raise OutOfRangeError(f"block index must be >= 0, got {start}")
@@ -219,17 +217,15 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     size = max(1, _DP_CELLS // (2 * max(L, 1)))
     for first in range(start, stop, size):
         B = min(stop, first + size) - first
-        q = [spec.value(i) for i in range(first + 1, first + B + L)]
+        q = np.array([spec.value(i) for i in range(first + 1, first + B + L)], dtype=np.float64)
+        lo, miss, up, fails = _block_grid(q, np.add.outer(np.arange(B), np.arange(L)), N, L)
         lower = a = upper = np.ones(B)
-        failure = None
-        for lo, miss, up, bad in _positions([q[j:j + B] for j in range(L)], N, L):
-            if bad and (failure is None or min(bad) < failure[0]):
-                failure = min(bad.items())
-            lower, a, upper = lower * lo, a * miss, upper * up
-        done = B if failure is None else failure[0]
+        for j in range(L):
+            lower, a, upper = lower * lo[:, j], a * miss[:, j], upper * up[:, j]
+        done = next((i for i, fail in enumerate(fails) if fail), B)
         yield from zip(lower[:done].tolist(), a[:done].tolist(), upper[:done].tolist())
-        if failure is not None:
-            raise failure[1]
+        if done < B:
+            raise fails[done][1]
 
 
 def a_n(spec: SequenceSpec, N: int, L: int, n: int):
@@ -238,7 +234,7 @@ def a_n(spec: SequenceSpec, N: int, L: int, n: int):
 
 
 def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.ndarray:
-    """a_n for blocks n in [start, stop), one reach table per block position and chunk."""
+    """a_n for blocks n in [start, stop), the first-passage sums of each site computed once."""
     return np.array([an for _, an, _ in _blocks(spec, N, L, start, stop)], dtype=np.float64)
 
 
@@ -251,23 +247,27 @@ class BoundReport:
     upper: float
 
 
+def _within(lower: float, prob: float, upper: float) -> bool:
+    """The sandwich test lower <= prob <= upper, with a relative slack of 1e-12 for rounding."""
+    slack = 1 + 1e-12
+    return lower <= prob * slack and prob <= upper * slack
+
+
 def bound_reports(specs: list[SequenceSpec], N: int, L: int, n: int) -> list:
-    """bound_check of block n for several specs, one reach table per position: each spec's
+    """bound_check of block n for several specs, one grid row per spec: each spec's
     reports, or the error its bound_check raises (the first in position order).
     """
-    columns = [[spec.value(n + j) for spec in specs] for j in range(1, L + 1)]
-    outcomes = [[] for _ in specs]
-    for j, (lower, miss, upper, bad) in enumerate(_positions(columns, N, L), 1):
-        for i, reports in enumerate(outcomes):
-            if not isinstance(reports, list):
-                continue
-            rep = BoundReport(j, columns[j - 1][i], lower[i], miss[i], upper[i])
-            if i in bad:
-                outcomes[i] = bad[i]
-            elif not (rep.lower <= rep.prob * (1 + 1e-12) and rep.prob <= rep.upper * (1 + 1e-12)):
-                outcomes[i] = BoundViolationError(f"sandwich violated: {rep}")
-            else:
-                reports.append(rep)
+    rows = [[spec.value(n + j) for j in range(1, L + 1)] for spec in specs]
+    sites = np.arange(len(rows) * L).reshape(len(rows), L)
+    lower, miss, upper, fails = _block_grid(np.array(rows, dtype=np.float64).ravel(), sites, N, L)
+    outcomes = []
+    for row, *cells, fail in zip(rows, lower.tolist(), miss.tolist(), upper.tolist(), fails):
+        stop, error = fail or (L + 1, None)
+        reports = [BoundReport(j, *cell) for j, cell in enumerate(zip(row, *cells), 1)][:stop - 1]
+        wrong = [rep for rep in reports if not _within(rep.lower, rep.prob, rep.upper)]
+        if wrong:
+            error = BoundViolationError(f"sandwich violated: {wrong[0]}")
+        outcomes.append(reports if error is None else error)
     return outcomes
 
 
@@ -317,7 +317,7 @@ def build_reach_table(spec: SequenceSpec, N: int, L: int, n_max: int) -> tuple[R
     rows = []
     prod = 1.0
     for n, (lower, an, upper) in enumerate(_blocks(spec, N, L, 0, n_max + 1)):
-        if not (lower <= an * (1 + 1e-12) and an <= upper * (1 + 1e-12)):
+        if not _within(lower, an, upper):
             raise BoundViolationError(f"sandwich violated at n={n}: {lower} {an} {upper}")
         prod *= 1.0 - an
         rows.append(ReachRow(n=n, a_n=an, lower=lower, upper=upper, partial_product=prod))

@@ -772,19 +772,29 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["failures"] == []
 
     @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.3, 0.5, 0.7, 0.9]])
-    def test_sandwich_grid_is_one_dp_per_position(self, config_file, monkeypatch, q_grid):
+    def test_sandwich_grid_sums_each_site_once(self, config_file, monkeypatch, q_grid):
+        # per (N, L), one grid row of L sites per q: the first-passage sums of the
+        # len(q_grid) * L sites are evaluated once, in pieces of _DP_CELLS // L sites
         import frogz.exact as exact_mod
         sums, calls = exact_mod._reach_sums, []
 
         def counting(q, L):
-            calls.append((q.size, L))
+            calls.append((q.tolist(), L))
             return sums(q, L)
 
         monkeypatch.setattr(exact_mod, "_reach_sums", counting)
         cfg = config_file({"l_max": 4, "p_grid": [], "q_grid": q_grid, "N_grid": [1, 2, 3]})
-        assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
-        assert calls == [(len(q_grid), L)
-                         for N in (1, 2, 3) for L in range(1, 5) for j in range(1, L + 1)]
+        for cells in (exact_mod._DP_CELLS, 8):
+            monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
+            calls.clear()
+            assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
+            want = []
+            for N in (1, 2, 3):
+                for L in range(1, 5):
+                    sites = [q for q in q_grid for _ in range(L)]
+                    step = cells // L
+                    want += [(sites[i:i + step], L) for i in range(0, len(sites), step)]
+            assert calls == want, cells
 
     def test_violations_in_q_N_L_order(self, config_file, tmp_path, capsys, monkeypatch):
         import frogz.exact as exact_mod

@@ -173,6 +173,13 @@ class TestActivationProducts:
         with pytest.raises(OutOfRangeError, match=rf"need N >= 1 and L >= 1, got N={N}, L={L}"):
             build_reach_table(const_spec, N=N, L=L, n_max=2)
 
+    def test_block_queries_reject_an_empty_block(self, const_spec):
+        # L = 0 used to give a_n = 1.0 and an empty bound check
+        with pytest.raises(OutOfRangeError, match=r"^need L >= 1, got 0$"):
+            a_n_array(const_spec, 1, 0, 0, 3)
+        with pytest.raises(OutOfRangeError, match=r"^need L >= 1, got 0$"):
+            bound_check(const_spec, 1, 0, 0)
+
     def test_table_rejects_negative_n_max(self, const_spec):
         # n_max = -5 used to give a table of no rows
         with pytest.raises(OutOfRangeError, match=r"^need n_max >= 0, got -5$"):
@@ -305,15 +312,15 @@ class TestBatchedTable:
     def test_first_failure_in_block_position_order(self, monkeypatch, index, j, error):
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not): with L=2,
         # site 4 fails first at n=2, j=2; a sandwich violation is injected at
-        # block `index`, position j
+        # block `index`, position j, whose walk starts at site index + j and
+        # reads the row of displacement L + 1 - j
         spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
         L = 2
         sums = exact_mod._reach_sums
 
         def too_likely(q, steps):
             reach = sums(q, steps)
-            if q.size > index:
-                reach[L - j, index] = -1.0
+            reach[L - j, q == spec.value(index + j)] = -1.0
             return reach
 
         monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
@@ -332,6 +339,65 @@ class TestBatchedTable:
         assert rep.lower == 0.0
         assert rep.upper == pytest.approx(2.0 ** 640 * 10.0 ** -192 * 1e-192, rel=1e-9)
         assert rep.prob <= rep.upper
+
+
+class TestChunkSeams:
+    # a small _DP_CELLS puts _DP_CELLS // (2L) blocks in a chunk and evaluates
+    # the sums _DP_CELLS // L sites at a time, so these queries cross chunks
+    # and pieces that the default sizes would hold in one
+    @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 10), n_max=st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_oracle(self, spec, N, L, n_max):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_mod, "_DP_CELLS", 64)
+            got = outcome(build_reach_table, spec, N, L, n_max)
+        assert got == outcome(oracle.reach_table_rows, spec, N, L, n_max)
+
+    @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 10),
+           start=st.integers(0, 20), M=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_a_n_matches_oracle(self, spec, N, L, start, M):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_mod, "_DP_CELLS", 64)
+            got = outcome(lambda: a_n_array(spec, N, L, start, start + M).tolist())
+        assert got == outcome(lambda: [oracle.a_n(spec, N, L, n) for n in range(start, start + M)])
+
+    @pytest.mark.parametrize("L, cells", [(1, 2), (1, 4), (2, 8)])
+    def test_first_failure_in_a_later_chunk(self, monkeypatch, L, cells):
+        # 1 - q_4 rounds to 1, so block 4 - L fails first; a chunk holds
+        # cells // (2L) <= 4 - L blocks, so that block lies in a later chunk
+        spec = single(PowerLaw(c=0.5, alpha=30))
+        assert cells // (2 * L) <= 4 - L
+        monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
+        got = outcome(build_reach_table, spec, 1, L, 10)
+        assert got == outcome(oracle.reach_table_rows, spec, 1, L, 10)
+        assert got[1].startswith("p_right must be in (0,1)")
+        for start in range(4 - L + 1):
+            got = outcome(lambda: a_n_array(spec, 1, L, start, 10).tolist())
+            assert got == outcome(lambda: [oracle.a_n(spec, 1, L, n) for n in range(start, 10)])
+        assert a_n_array(spec, 1, L, 0, 4 - L).tolist() == [
+            oracle.a_n(spec, 1, L, n) for n in range(4 - L)]
+
+    @pytest.mark.parametrize("L, cells", [(1, 64), (3, 64), (10, 64), (16, 1 << 14)])
+    def test_each_chunk_sums_its_sites_once(self, monkeypatch, L, cells):
+        # chunk by chunk, the B + L - 1 sites n + 1, ..., n + B + L - 1 of its
+        # blocks go to _reach_sums once each, in order
+        spec = single(PowerLaw(c=0.5, alpha=1, offset=1))
+        sums, seen = exact_mod._reach_sums, []
+
+        def counting(q, steps):
+            seen.extend(q.tolist())
+            return sums(q, steps)
+
+        monkeypatch.setattr(exact_mod, "_reach_sums", counting)
+        monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
+        start, stop, size = 5, 60, cells // (2 * L)
+        a_n_array(spec, 1, L, start, stop)
+        want = []
+        for first in range(start, stop, size):
+            B = min(stop, first + size) - first
+            want += [spec.value(i) for i in range(first + 1, first + B + L)]
+        assert seen == want
 
 
 class TestBatchedBoundCheck:
