@@ -14,7 +14,8 @@ import io
 import json
 import math
 import sys
-from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .classify import (
@@ -24,8 +25,7 @@ from .errors import (
     BoundViolationError, FrogzError, MalformedConfigError, OutOfRangeError, TooLargeError,
 )
 from .exact import (
-    WalkLaw, bound_reports, brute_force_reach, build_reach_table, check_enumeration,
-    reach_prob,
+    WalkLaw, _reach_sums, bound_reports, brute_force_reach, build_reach_table, check_enumeration,
 )
 from .mc import ActivationProfile, SimConfig, activation_profile, check_profile, estimate_survival
 from .sequences import INF, ConstantForm, SequenceSpec, config_number, single
@@ -165,14 +165,17 @@ def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
     checked = 0
     failures = []
     for L in range(1, l_max + 1):
-        for p in p_grid:
-            law = WalkLaw(p_right=p, steps=L)
+        laws = [WalkLaw(p_right=p, steps=L) for p in p_grid]
+        # one first-passage table per L: its columns are computed
+        # elementwise, so each holds reach_prob's values for its p
+        sums = _reach_sums(np.array([1 - float(law.p_right) for law in laws]), L).T.tolist()
+        for law, row in zip(laws, sums):
             for d in range(1, L + 1):
-                reach = reach_prob(law, d)
+                reach = row[d - 1]
                 oracle = brute_force_reach(law, d)
                 checked += 1
                 if abs(reach - oracle) > 1e-12:
-                    failures.append(("reach", p, L, d, reach, oracle))
+                    failures.append(("reach", law.p_right, L, d, reach, oracle))
     # one reach table per (N, L, position) serves every q; it is computed at its
     # first use, so outcomes and errors come in the (q, N, L) order of single checks
     specs = [single(ConstantForm(q=qv)) for qv in q_grid]
@@ -245,6 +248,7 @@ def main(argv=None) -> int:
             out = args.out and files.enter_context(open(args.out, "w", encoding="utf-8"))
             (out or sys.stdout).write(text)
             if store:
+                from datetime import datetime, timezone
                 record = {"timestamp": datetime.now(timezone.utc).isoformat(),
                           "subcommand": args.command, "config": config, "version": __version__,
                           **fields}

@@ -15,7 +15,11 @@ R_i = #{d in 1..L : u >= P(R_i < d)}, compared as integers against
 T_{i,d} = ceil(P(R_i < d) * 2**53) with u's top 53 bits (_thresholds).
 
 Randomness is counter-based: the uniform of site i in trial n is a pure hash
-of (seed, n, i).  That makes runs reproducible bit-for-bit regardless of
+of (seed, n, i), splitmix64's finalizer of h_n ^ (i * K2), where h_n is the
+finalizer of seed ^ (n * K1).  The finalizer's first step, z ^ (z >> 30),
+distributes over xor, so each trial's h_n and each site's key are folded
+once (_fold) and a trial-site costs one xor and the remaining steps
+(_mix_folded).  That makes runs reproducible bit-for-bit regardless of
 worker count, and couples configs that share a seed: raising N or L lowers
 every P(R_i < d) or leaves it, so for the same uniform R_i only grows, and
 activated sets grow monotonically per trial.  The float arithmetic keeps that
@@ -26,25 +30,32 @@ thresholds are nondecreasing in d and nonincreasing in N and in L.
 
 The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
-63, 127, 191, ... (_block_end).  Since R_i <= L, site k is the frontier
-exactly when R_k = 0, no site among the L - 1 before it reaches past it, and
-no earlier block does either: R is counted in uint8 (uint16 for L >= 256),
-the in-block test is L - 1 shifted comparisons of R, and each trial carries
-the furthest site its earlier blocks reach.  A trial leaves the scan in the
-block where its frontier is found, so a trial that dies at site 1 costs one
-hashed site.  Because every draw is a pure hash, this early exit returns
-exactly the frontiers of a full scan.  Trials are split into equal ranges of
-about 4096, as many as the workers or a multiple of that, and each block is
-scanned over a range's live trials in slices of at most 2**16 trial-sites,
-hashed half a slice at a time into two reused arrays, so a worker holds at
-most 13 bytes per slice element (832 KiB) whatever the horizon or the trial
-count.  Thresholds are evaluated in pieces of sites 2**k..2**(k+1) - 1, once,
-when a trial first scans the piece, and shared by every range and worker:
-about L^2/4 first-passage terms and at most N*L multiplications per site, in
-O(log S) calls.  The work a run records as evaluated is, summed over trials,
-the end of the block holding the frontier (at most S): the hashed
-trial-sites.  `simulate --profile` derives the activation profile from the
-same run (activation_profile), so one command is one MC pass.
+63, 127, 191, ... (_block_end).  Trials are split into equal ranges of at
+most 2**14, as many as the workers or a multiple of that; one worker scans
+its ranges in the calling thread.  Each block is scanned over a range's live
+trials in slices of at most 3 * 2**14 trial-sites: up to that many trials,
+the inner axis, by as many of the block's sites as fill the slice, so a
+site's key and thresholds broadcast over long contiguous rows and a worker
+makes few, long numpy calls.  Since R_i <= L, site k is the frontier exactly
+when R_k = 0, no site among the L - 1 before it reaches past it, and no
+earlier slice does either: R is counted in uint8 (uint16 for L >= 256), the
+in-slice test is L - 1 shifted comparisons of R, and each trial carries the
+furthest site its earlier slices reach.  A trial leaves the scan at the end
+of the block where its frontier is found, so a trial that dies at site 1
+costs one hashed site.  Because every draw is a pure hash, this early exit
+returns exactly the frontiers of a full scan.  A slice is hashed whole into
+two reused uint64 arrays, the hashes and _mix_folded's scratch, and once the
+hashes are mixed the scratch bytes hold the stuck mask, a comparison mask
+and the reach counts: a worker holds 16 bytes per slice element (768 KiB),
+plus 2 per element of a slice's last L - 1 rows, whatever the horizon or the
+trial count.  Thresholds are evaluated in pieces of sites
+2**k..2**(k+1) - 1, once, when a trial first scans the piece, and shared by
+every range and worker: about L^2/4 first-passage terms and at most N*L
+multiplications per site, in O(log S) calls.  The work a run records as
+evaluated is, summed over trials, the end of the block holding the frontier
+(at most S): the hashed trial-sites.  `simulate --profile` derives the
+activation profile from the same run (activation_profile), so one command is
+one MC pass.
 """
 
 from __future__ import annotations
@@ -52,9 +63,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -65,26 +74,42 @@ from .exact import _reach_sums
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
-_CHUNK_ELEMENTS = 2 ** 16     # trial-sites per scan slice; L * sites per threshold piece
+_CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; L * sites per threshold piece
+_RANGE_TRIALS = 2 ** 14       # the most trials one range scans
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _SHIFT = np.uint64(11)  # a hash's top 53 bits make its uniform
+# splitmix64's finalizer after its first xorshift: multiply, then xorshift
+_MIX_STEPS = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(27)),
+              (np.uint64(0x94D049BB133111EB), np.uint64(31)))
 
 
-def _mix(z, tmp=None):
-    """splitmix64 finalizer, elementwise on a uint64 array; overwrites and returns z.
+def _fold(z):
+    """z ^ (z >> 30), the first step of the splitmix64 finalizer, as a new array.
 
-    tmp, if given, is scratch of z's shape.
+    A logical right shift distributes over xor, so _fold(a ^ b) equals
+    _fold(a) ^ _fold(b): a site key and a trial hash folded once each make
+    the folded hash of every (trial, site) with one xor.
     """
-    tmp = np.empty_like(z) if tmp is None else tmp
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
+    return z ^ (z >> np.uint64(30))
+
+
+def _mix_folded(z, tmp):
+    """The splitmix64 finalizer after its first xorshift, elementwise on a uint64
+    array that _fold made; overwrites and returns z.  tmp is scratch of z's shape.
+    """
+    for mult, shift in _MIX_STEPS:
+        z *= mult
+        np.right_shift(z, shift, out=tmp)
         z ^= tmp
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
     return z
+
+
+def _mix(z):
+    """splitmix64 finalizer, elementwise on a uint64 array, as a new array."""
+    z = _fold(z)
+    return _mix_folded(z, np.empty_like(z))
 
 
 @dataclass(frozen=True)
@@ -161,6 +186,7 @@ class ActivationProfile:
 
 def wilson_interval(k, n: int, level: float = 0.95):
     """Wilson score interval for k successes in n trials; k is one count or an array."""
+    from statistics import NormalDist   # imported here: only simulate needs it
     z = NormalDist().inv_cdf(0.5 + level / 2)
     if n == 0:
         return 0.0, 1.0
@@ -257,63 +283,73 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
 
     thresholds(lo, hi) gives the reach thresholds of sites lo+1..hi (see
     _reach_thresholds).  Sites are scanned in the blocks of _block_end, each
-    over the live trials in slices of at most _CHUNK_ELEMENTS trial-sites.
+    over the live trials in slices of at most _CHUNK_ELEMENTS trial-sites:
+    up to that many trials, and as many of the block's sites as fill it.
     Since R_i <= L, site k is the frontier when R_k = 0 and no site among the
-    L - 1 before it reaches past it, the earlier blocks' furthest reach being
-    carried per trial; a trial leaves the scan in the block where its frontier
-    is found.
+    L - 1 before it reaches past it, the earlier slices' furthest reach being
+    carried per trial; a trial leaves the scan at the end of the block where
+    its frontier is found.
     """
-    trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    h1 = _mix(np.uint64(seed) ^ (trials * _K1))                      # (B,)
-
-    frontier = np.empty(len(trials), dtype=np.int64)
-    live = np.arange(len(trials))       # positions in `frontier` still scanning
-    carry = np.zeros(len(trials), dtype=np.int64)  # max of i + R_i over sites 1..lo
+    h1 = _fold(_mix(np.uint64(seed) ^ (np.arange(trial_lo, trial_hi, dtype=np.uint64) * _K1)))
+    frontier = np.empty(len(h1), dtype=np.int64)
+    live = np.arange(len(h1))           # positions in `frontier` still scanning
+    L = len(thresholds(0, 1))
+    count = np.dtype(np.uint8 if L < 256 else np.uint16)   # reach counts
+    # max of i + R_i over the sites scanned, per trial; at L = 1 no site
+    # reaches past itself, so there is nothing to carry
+    carry = np.zeros(len(h1) if L > 1 else 0, dtype=np.int64)
     lo = 0                              # sites scanned so far
-    # uint64 words and _mix scratch for a piece of a slice: at most half of
-    # it, or one site's row
-    size = min(max(_CHUNK_ELEMENTS // 2, len(trials)), _CHUNK_ELEMENTS, _BLOCK * len(trials))
+    size = min(_CHUNK_ELEMENTS, _BLOCK * len(h1))
+    # a slice's hashes and _mix_folded's scratch; once the hashes are mixed,
+    # the scratch bytes hold the stuck mask, a comparison mask and the counts
     words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    mem = scratch.view(np.uint8)
     while len(live):
         hi = min(2 * lo + 1, lo + _BLOCK, S)   # _block_end(lo + 1, S) in Python ints
-        b = hi - lo
-        rows = thresholds(lo, hi)[:, :, None]
-        L = len(rows)
-        tail = min(L - 1, b)            # the last sites, which may reach past hi
-        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]      # sites lead: (b,1)
-        keys = idx.astype(np.uint64) * _K2
-        done = np.zeros(len(live), dtype=bool)
-        step = max(1, _CHUNK_ELEMENTS // b)
-        for part in (slice(a, a + step) for a in range(0, len(live), step)):
-            h = h1[part]
-            reach = np.empty((b, len(h)), dtype=np.uint8 if L < 256 else np.uint16)
-            n = max(1, _CHUNK_ELEMENTS // 2 // len(h))                 # rows per piece
-            for r in range(0, b, n):    # R_i = #{d : u >= T_d}
-                rs = slice(r, r + n)
-                shape = (len(keys[rs]), len(h))
-                u = np.bitwise_xor(keys[rs], h, out=words[:shape[0] * shape[1]].reshape(shape))
-                _mix(u, scratch[:u.size].reshape(shape))
+        table = thresholds(lo, hi)[:, :, None]
+        keys = _fold(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _K2)[:, None]   # (sites, 1)
+        found = np.zeros(len(live), dtype=bool)
+        width = min(len(live), size)    # trials per slice
+        for a in range(0, len(live), width):
+            h, c, f = h1[a:a + width], carry[a:a + width], found[a:a + width]
+            w = len(h)
+            n = size // w               # sites per slice
+            for r in range(0, hi - lo, n):
+                rs = slice(r, min(r + n, hi - lo))  # the slice's rows of the block
+                b = rs.stop - r
+                k = b * w
+                first = lo + r + 1      # the slice's first site
+                u = np.bitwise_xor(keys[rs], h, out=words[:k].reshape(b, w))
+                _mix_folded(u, scratch[:k].reshape(b, w))
                 np.right_shift(u, _SHIFT, out=u)
-                # the first comparison writes the counts, the others add to them
-                np.greater_equal(u, rows[0, rs], out=reach[rs], casting="unsafe")
-                for row in rows[1:, rs]:
-                    reach[rs] += u >= row
-            stuck = reach == 0
-            for m in range(1, min(L, b)):
-                stuck[m:] &= reach[:-m] <= m
-            if tail:
-                c = carry[part]
-                stuck[:tail] &= idx[:tail] >= c
-                far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
-                np.maximum(c, far.max(axis=0) + np.int64(lo + 1), out=c)
-            if hi == S:                 # every trial leaves by the last site
-                stuck[-1] = True
-            d = stuck.any(axis=0)
-            done[part] = d
-            frontier[live[part][d]] = lo + 1 + np.argmax(stuck[:, d], axis=0)
-        if done.any():
-            keep = ~done
-            live, h1, carry = live[keep], h1[keep], carry[keep]
+                stuck = np.less(u, table[0, rs], out=mem[:k].view(np.bool_).reshape(b, w))
+                if L > 1:               # R_i = #{d : u >= T_d}; stuck holds R_i == 0
+                    mask = mem[k:2 * k].view(np.bool_).reshape(b, w)
+                    reach = mem[2 * k:(2 + count.itemsize) * k].view(count).reshape(b, w)
+                    np.logical_not(stuck, out=reach)
+                    for row in table[1:, rs]:
+                        reach += np.greater_equal(u, row, out=mask)
+                    for m in range(1, min(L, b)):
+                        stuck[m:] &= np.less_equal(reach[:-m], m, out=mask[m:])
+                    tail = min(L - 1, b)    # the last sites, which may reach past the slice
+                    idx = np.arange(first, first + tail, dtype=np.int64)[:, None]
+                    stuck[:tail] &= np.greater_equal(idx, c, out=mask[:tail])
+                    far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
+                    np.maximum(c, far.max(axis=0) + np.int64(first), out=c)
+                if lo + rs.stop == S:   # every trial leaves by the last site
+                    stuck[-1] = True
+                new = stuck.any(axis=0)
+                np.greater(new, f, out=new)        # not found in an earlier slice
+                if new.any():
+                    frontier[live[a:a + width][new]] = first + np.argmax(stuck[:, new], axis=0)
+                    f |= new
+        if found.any():
+            del h, c, f                 # views that would keep the old arrays alive
+            keep = np.logical_not(found, out=found)
+            live = live[keep]
+            h1 = h1[keep]
+            if L > 1:
+                carry = carry[keep]
         lo = hi
     return frontier
 
@@ -334,15 +370,21 @@ def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
     S = _check_budget(cfg)
     thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L, S)
     workers = max(1, min(threads, os.cpu_count() or 1))
-    # equal ranges of at most a 16-site slice of trials, so the five narrowest
-    # blocks scan a whole range at once, and as many ranges as the workers or
-    # a multiple of it, so that every worker gets the same share
-    count = -(-cfg.trials // max(1, _CHUNK_ELEMENTS // 16))
+    # equal ranges of at most _RANGE_TRIALS, as many as the workers or a
+    # multiple of it, so that every worker gets the same share
+    count = -(-cfg.trials // _RANGE_TRIALS)
     count = min(-(-count // workers) * workers, cfg.trials)
     bounds = [k * cfg.trials // count for k in range(count + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: _frontiers(thresholds, S, cfg.seed, *r), ranges))
+
+    def scan(r):
+        return _frontiers(thresholds, S, cfg.seed, *r)
+    if workers == 1:
+        parts = [scan(r) for r in ranges]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(scan, ranges))
     return np.concatenate(parts)
 
 

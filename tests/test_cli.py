@@ -4,6 +4,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -842,7 +843,8 @@ class TestVerifyCommand:
 
     def test_violation_exit(self, config_file, tmp_path, monkeypatch):
         import frogz.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "reach_prob", lambda law, d: 0.0)
+        # verify reads every reach of one L from one batched first-passage table
+        monkeypatch.setattr(cli_mod, "_reach_sums", lambda q, L: np.zeros((L, q.size)))
         cfg = config_file({"l_max": 2, "p_grid": [0.5], "q_grid": [], "N_grid": []})
         out = tmp_path / "verify.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION

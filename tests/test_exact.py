@@ -228,6 +228,17 @@ class TestBatchedReach:
         law = WalkLaw(p_right=p, steps=L)
         assert reach_prob(law, d) == oracle.reach_prob(law, d)
 
+    @given(ps=st.lists(st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=12),
+           L=st.integers(1, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_one_table_over_a_p_grid_is_each_walk(self, ps, L):
+        # verify reads each (p, d) from one table per L: the sums are
+        # elementwise in q, so a column is bit-identical to its single walk
+        sums = exact_mod._reach_sums(np.array([1 - p for p in ps]), L)
+        for i, p in enumerate(ps):
+            law = WalkLaw(p_right=p, steps=L)
+            assert sums[:, i].tolist() == [reach_prob(law, d) for d in range(1, L + 1)]
+
     def test_oracle_fraction_dp_equals_counts_oracle(self):
         # exact rationals live in the two oracles, which agree to the last digit
         for p in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
