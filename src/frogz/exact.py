@@ -206,8 +206,8 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order:
     the products, in position order, of a row of _block_grid.  Blocks go in
     chunks of B, each one grid over the chunk's B + L - 1 sites (block n's walk
-    at position j starts from site n + j), so each q_i comes from spec.value
-    once per chunk.  A walk that fails raises when its block is reached: the
+    at position j starts from site n + j), so the chunk's q_i come from one
+    spec.values call.  A walk that fails raises when its block is reached: the
     first error a block-by-block, position-by-position loop meets.  A query of
     more than _DP_WORK_MAX blocks * L^3 is refused before any q is formed.
     """
@@ -217,7 +217,7 @@ def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
     size = max(1, _DP_CELLS // (2 * max(L, 1)))
     for first in range(start, stop, size):
         B = min(stop, first + size) - first
-        q = np.array([spec.value(i) for i in range(first + 1, first + B + L)], dtype=np.float64)
+        q = spec.values(first + 1, first + B + L)
         lo, miss, up, fails = _block_grid(q, np.add.outer(np.arange(B), np.arange(L)), N, L)
         lower = a = upper = np.ones(B)
         for j in range(L):
@@ -257,7 +257,7 @@ def bound_reports(specs: list[SequenceSpec], N: int, L: int, n: int) -> list:
     """bound_check of block n for several specs, one grid row per spec: each spec's
     reports, or the error its bound_check raises (the first in position order).
     """
-    rows = [[spec.value(n + j) for j in range(1, L + 1)] for spec in specs]
+    rows = [spec.values(n + 1, n + L + 1).tolist() for spec in specs]
     sites = np.arange(len(rows) * L).reshape(len(rows), L)
     lower, miss, upper, fails = _block_grid(np.array(rows, dtype=np.float64).ravel(), sites, N, L)
     outcomes = []

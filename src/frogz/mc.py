@@ -32,11 +32,11 @@ The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
 63, 127, 191, ... (_block_end).  Trials are split into equal ranges of at
 most 2**14, as many as the workers or a multiple of that; one worker scans
-its ranges in the calling thread.  Each block is scanned over a range's live
-trials in slices of at most 3 * 2**14 trial-sites: up to that many trials,
-the inner axis, by as many of the block's sites as fill the slice, so a
-site's key and thresholds broadcast over long contiguous rows and a worker
-makes few, long numpy calls.  Since R_i <= L, site k is the frontier exactly
+its ranges in the calling thread.  Each block is scanned in slices of at
+most 3 * 2**14 trial-sites: a row of all of a range's live trials, the inner
+axis, by as many of the block's sites as fill the slice, so a site's key and
+thresholds broadcast over long contiguous rows and a worker makes few, long
+numpy calls.  Since R_i <= L, site k is the frontier exactly
 when R_k = 0, no site among the L - 1 before it reaches past it, and no
 earlier slice does either: R is counted in uint8 (uint16 for L >= 256), the
 in-slice test is L - 1 shifted comparisons of R, and each trial carries the
@@ -75,7 +75,7 @@ from .exact import _reach_sums
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
 _CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; L * sites per threshold piece
-_RANGE_TRIALS = 2 ** 14       # the most trials one range scans
+_RANGE_TRIALS = 2 ** 14       # the most trials one range scans: <= _CHUNK_ELEMENTS, one slice row
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -283,12 +283,12 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
 
     thresholds(lo, hi) gives the reach thresholds of sites lo+1..hi (see
     _reach_thresholds).  Sites are scanned in the blocks of _block_end, each
-    over the live trials in slices of at most _CHUNK_ELEMENTS trial-sites:
-    up to that many trials, and as many of the block's sites as fill it.
-    Since R_i <= L, site k is the frontier when R_k = 0 and no site among the
-    L - 1 before it reaches past it, the earlier slices' furthest reach being
-    carried per trial; a trial leaves the scan at the end of the block where
-    its frontier is found.
+    in slices of at most _CHUNK_ELEMENTS trial-sites: a row of every live
+    trial (a range has at most _RANGE_TRIALS) by as many of the block's sites
+    as fill the slice.  Since R_i <= L, site k is the frontier when R_k = 0
+    and no site among the L - 1 before it reaches past it, the earlier
+    slices' furthest reach being carried per trial; a trial leaves the scan
+    at the end of the block where its frontier is found.
     """
     h1 = _fold(_mix(np.uint64(seed) ^ (np.arange(trial_lo, trial_hi, dtype=np.uint64) * _K1)))
     frontier = np.empty(len(h1), dtype=np.int64)
@@ -309,42 +309,38 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
         table = thresholds(lo, hi)[:, :, None]
         keys = _fold(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _K2)[:, None]   # (sites, 1)
         found = np.zeros(len(live), dtype=bool)
-        width = min(len(live), size)    # trials per slice
-        for a in range(0, len(live), width):
-            h, c, f = h1[a:a + width], carry[a:a + width], found[a:a + width]
-            w = len(h)
-            n = size // w               # sites per slice
-            for r in range(0, hi - lo, n):
-                rs = slice(r, min(r + n, hi - lo))  # the slice's rows of the block
-                b = rs.stop - r
-                k = b * w
-                first = lo + r + 1      # the slice's first site
-                u = np.bitwise_xor(keys[rs], h, out=words[:k].reshape(b, w))
-                _mix_folded(u, scratch[:k].reshape(b, w))
-                np.right_shift(u, _SHIFT, out=u)
-                stuck = np.less(u, table[0, rs], out=mem[:k].view(np.bool_).reshape(b, w))
-                if L > 1:               # R_i = #{d : u >= T_d}; stuck holds R_i == 0
-                    mask = mem[k:2 * k].view(np.bool_).reshape(b, w)
-                    reach = mem[2 * k:(2 + count.itemsize) * k].view(count).reshape(b, w)
-                    np.logical_not(stuck, out=reach)
-                    for row in table[1:, rs]:
-                        reach += np.greater_equal(u, row, out=mask)
-                    for m in range(1, min(L, b)):
-                        stuck[m:] &= np.less_equal(reach[:-m], m, out=mask[m:])
-                    tail = min(L - 1, b)    # the last sites, which may reach past the slice
-                    idx = np.arange(first, first + tail, dtype=np.int64)[:, None]
-                    stuck[:tail] &= np.greater_equal(idx, c, out=mask[:tail])
-                    far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
-                    np.maximum(c, far.max(axis=0) + np.int64(first), out=c)
-                if lo + rs.stop == S:   # every trial leaves by the last site
-                    stuck[-1] = True
-                new = stuck.any(axis=0)
-                np.greater(new, f, out=new)        # not found in an earlier slice
-                if new.any():
-                    frontier[live[a:a + width][new]] = first + np.argmax(stuck[:, new], axis=0)
-                    f |= new
+        w = len(live)                   # trials per slice: every live one
+        n = size // w                   # sites per slice
+        for r in range(0, hi - lo, n):
+            rs = slice(r, min(r + n, hi - lo))  # the slice's rows of the block
+            b = rs.stop - r
+            k = b * w
+            first = lo + r + 1          # the slice's first site
+            u = np.bitwise_xor(keys[rs], h1, out=words[:k].reshape(b, w))
+            _mix_folded(u, scratch[:k].reshape(b, w))
+            np.right_shift(u, _SHIFT, out=u)
+            stuck = np.less(u, table[0, rs], out=mem[:k].view(np.bool_).reshape(b, w))
+            if L > 1:                   # R_i = #{d : u >= T_d}; stuck holds R_i == 0
+                mask = mem[k:2 * k].view(np.bool_).reshape(b, w)
+                reach = mem[2 * k:(2 + count.itemsize) * k].view(count).reshape(b, w)
+                np.logical_not(stuck, out=reach)
+                for row in table[1:, rs]:
+                    reach += np.greater_equal(u, row, out=mask)
+                for m in range(1, min(L, b)):
+                    stuck[m:] &= np.less_equal(reach[:-m], m, out=mask[m:])
+                tail = min(L - 1, b)    # the last sites, which may reach past the slice
+                idx = np.arange(first, first + tail, dtype=np.int64)[:, None]
+                stuck[:tail] &= np.greater_equal(idx, carry, out=mask[:tail])
+                far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
+                np.maximum(carry, far.max(axis=0) + np.int64(first), out=carry)
+            if lo + rs.stop == S:       # every trial leaves by the last site
+                stuck[-1] = True
+            new = stuck.any(axis=0)
+            np.greater(new, found, out=new)        # not found in an earlier slice
+            if new.any():
+                frontier[live[new]] = first + np.argmax(stuck[:, new], axis=0)
+                found |= new
         if found.any():
-            del h, c, f                 # views that would keep the old arrays alive
             keep = np.logical_not(found, out=found)
             live = live[keep]
             h1 = h1[keep]

@@ -200,7 +200,7 @@ class SparseOverride:
 
 
 def _occurrence_counter(n, r, k: int):
-    """1-based rank of index n among indices >= 1 with residue r mod k; n, r int or int64 array."""
+    """1-based rank of index n among indices >= 1 with residue r mod k; n, r int64 arrays."""
     return (n - r) // k + (r != 0)
 
 
@@ -249,19 +249,11 @@ class SequenceSpec:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, n: int) -> float:
-        """q_n.  Overrides take precedence over the residue form."""
-        if n < 1:
-            raise OutOfRangeError(f"sequence index must be >= 1, got {n}")
-        for ov in self.overrides:
-            hits = ov.indices_upto(n + 1)
-            if hits and hits[-1][1] == n:
-                return ov.form.value(hits[-1][0])
-        r = n % self.modulus
-        s = _occurrence_counter(n, r, self.modulus)
-        return self.residue_forms[r].value(s)
+        """q_n as a Python float: values(n, n + 1), so bit-identical to every values() call."""
+        return self.values(n, n + 1).item()
 
     def values(self, start: int, stop: int) -> np.ndarray:
-        """q_n for n in [start, stop), vectorized."""
+        """q_n for n in [start, stop), vectorized; overrides take precedence over residue forms."""
         if start < 1:
             raise OutOfRangeError(f"sequence index must be >= 1, got {start}")
         n = np.arange(start, stop, dtype=np.int64)

@@ -3,6 +3,8 @@
 `value` reads q_n from the definition: the occurrence counter is the rank of
 n among the indices 1..n with its residue, and n belongs to an override
 family when dividing n / a by b repeatedly reaches 1 after j >= j0 steps.
+Forms are evaluated as `SequenceSpec.values` evaluates them: a residue form
+by its numpy `value_array`, an override form by its scalar `value`.
 `is_in_D1` here builds the whole prefix q_1 .. q_{H+1} in one `values` call
 and compares every adjacent pair; `L0_L1` enumerates all 2^k residue subsets
 of the finite-index classes.  The windowed scan and the threshold sweep in
@@ -40,8 +42,10 @@ def value(spec: SequenceSpec, n: int) -> float:
             return ov.form.value(j)
     k = spec.modulus
     r = n % k
-    # the indices 1..n with residue r are r, r + k, ..., or k, 2k, ... for r = 0
-    return spec.residue_forms[r].value(len(range(r or k, n + 1, k)))
+    # the indices 1..n with residue r are r, r + k, ..., or k, 2k, ... for r = 0;
+    # the form is evaluated as `values` evaluates it, on an int64 array
+    s = np.array([len(range(r or k, n + 1, k))], dtype=np.int64)
+    return spec.residue_forms[r].value_array(s).item()
 
 
 def is_in_D1(spec: SequenceSpec) -> str:

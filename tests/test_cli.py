@@ -366,16 +366,21 @@ class TestExactCommand:
 
     def test_size_guard(self, config_file, capsys, monkeypatch):
         # "L": 10**9 used to build 10^9 q values and was still running minutes later;
-        # spec.value raises here, so a missing guard fails at once
-        from frogz.sequences import SequenceSpec
+        # a request for more q than the validity scan's raises here, before
+        # any value is formed, so a missing guard fails at once
+        from frogz.sequences import VALIDITY_SCAN_PREFIX, SequenceSpec
 
         class Reached(Exception):
             pass
 
-        def reached(self, n):
-            raise Reached
+        values = SequenceSpec.values
 
-        monkeypatch.setattr(SequenceSpec, "value", reached)
+        def reached(self, start, stop):
+            if stop - start > VALIDITY_SCAN_PREFIX:
+                raise Reached
+            return values(self, start, stop)
+
+        monkeypatch.setattr(SequenceSpec, "values", reached)
 
         def run(L, n_max):
             cfg = config_file({"N": 1, "L": L, "n_max": n_max, "spec": CONST_SPEC})

@@ -424,6 +424,9 @@ class TestBatchedBoundCheck:
         assert [outcome(bound_check, spec, N, L, n) for spec in batch] == want
         got = exact_mod.bound_reports(batch, N, L, n)
         assert [r if isinstance(r, list) else (type(r), str(r)) for r in got] == want
+        # Python floats, so a report's repr in verify's failure text shows no np.float64(...)
+        assert all(type(x) is float for r in got if isinstance(r, list)
+                   for rep in r for x in (rep.q, rep.lower, rep.prob, rep.upper))
 
     @pytest.mark.parametrize("violate_j, error", [
         (None, OutOfRangeError),   # site 4, at j = 2, has 1 - q_4 == 1.0

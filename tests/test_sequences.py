@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from frogz.sequences import (
     single,
 )
 
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 class TestEval:
     def test_constant(self, const_spec):
@@ -52,11 +55,24 @@ class TestEval:
             const_spec.value(0)
         with pytest.raises(OutOfRangeError):
             const_spec.values(0, 5)
+        # indices are int64, for value as for values
+        assert const_spec.value(2**63 - 1) == 0.5
+        with pytest.raises(OverflowError):
+            const_spec.value(2**63)
 
-    def test_values_matches_scalar(self, mod2_spec, dyadic_spec):
-        for spec in (mod2_spec, dyadic_spec):
-            arr = spec.values(1, 200)
-            assert arr == pytest.approx([spec.value(n) for n in range(1, 200)])
+    def test_values_matches_scalar(self, inv_square_spec, sqrt_spec, log_spec, mod2_spec,
+                                   dyadic_spec, const_spec):
+        # bitwise: value(n) is values(n, n + 1), so the exact layer, the Monte
+        # Carlo and the D1 scan read the same q_n; numpy's power and log and
+        # Python's ** and math.log disagree in the last bit on some n
+        configs = [SequenceSpec.from_dict(json.loads(path.read_text())["spec"])
+                   for path in sorted(_CONFIGS.glob("*.json"))]
+        assert len(configs) == 5
+        for spec in configs + [inv_square_spec, sqrt_spec, log_spec, mod2_spec, dyadic_spec,
+                               const_spec]:
+            scalar = [spec.value(n) for n in range(1, 20001)]
+            assert all(type(q) is float for q in scalar)
+            assert np.array_equal(np.array(scalar), spec.values(1, 20001))
 
     @given(data=st.data(), k=st.integers(1, 7), a=st.integers(1, 50), b=st.integers(2, 10),
            j0=st.integers(0, 3))
