@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--l", type=int, default=2)
     ap.add_argument("--trials", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--horizons", type=int, nargs="+", default=[100, 400, 1600])
     args = ap.parse_args()
 
@@ -38,8 +37,7 @@ def main() -> int:
 
     for M in args.horizons:
         res = estimate_survival(
-            SimConfig(params=params, horizon=M, trials=args.trials, seed=args.seed),
-            threads=args.threads)
+            SimConfig(params=params, horizon=M, trials=args.trials, seed=args.seed))
         print(f"M={M:6d}  p_hat={res.p_hat:.4f}  "
               f"CI=[{res.ci_low:.4f}, {res.ci_high:.4f}]")
     return 0

@@ -97,7 +97,7 @@ def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     )
     if args.profile:
         check_profile(cfg)
-    result = estimate_survival(cfg, threads=args.threads)
+    result = estimate_survival(cfg)
     if args.profile:
         _write_profile(activation_profile(result), args.profile)
     summary = result.aggregate_dict()
@@ -219,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", default=None)
         p.set_defaults(fn=fn)
     sub.choices["simulate"].add_argument("--seed", type=int, default=None)
+    # accepted and validated, but the scan runs in one thread whatever the value
     sub.choices["simulate"].add_argument("--threads", type=_positive_int, default=1)
     sub.choices["simulate"].add_argument("--trials", type=int, default=None)
     sub.choices["simulate"].add_argument("--horizon", type=int, default=None)

@@ -19,8 +19,8 @@ of (seed, n, i), splitmix64's finalizer of h_n ^ (i * K2), where h_n is the
 finalizer of seed ^ (n * K1).  The finalizer's first step, z ^ (z >> 30),
 distributes over xor, so each trial's h_n and each site's key are folded
 once (_fold) and a trial-site costs one xor and the remaining steps
-(_mix_folded).  That makes runs reproducible bit-for-bit regardless of
-worker count, and couples configs that share a seed: raising N or L lowers
+(_mix_folded).  That makes runs reproducible bit-for-bit whatever the range
+and slice sizes, and couples configs that share a seed: raising N or L lowers
 every P(R_i < d) or leaves it, so for the same uniform R_i only grows, and
 activated sets grow monotonically per trial.  The float arithmetic keeps that
 order by construction: each reach is a sequential prefix sum in increasing t
@@ -30,28 +30,28 @@ thresholds are nondecreasing in d and nonincreasing in N and in L.
 
 The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
-63, 127, 191, ... (_block_end).  Trials are split into equal ranges of at
-most 2**14, as many as the workers or a multiple of that; one worker scans
-its ranges in the calling thread.  Each block is scanned in slices of at
-most 3 * 2**14 trial-sites: a row of all of a range's live trials, the inner
-axis, by as many of the block's sites as fill the slice, so a site's key and
-thresholds broadcast over long contiguous rows and a worker makes few, long
-numpy calls.  Since R_i <= L, site k is the frontier exactly
-when R_k = 0, no site among the L - 1 before it reaches past it, and no
-earlier slice does either: R is counted in uint8 (uint16 for L >= 256), the
-in-slice test is L - 1 shifted comparisons of R, and each trial carries the
-furthest site its earlier slices reach.  A trial leaves the scan at the end
+63, 127, 191, ... (_block_end).  Trials are split into ceil(trials / 2**14)
+equal ranges, scanned one after another in the calling thread: a second
+thread does not pay, since every numpy call hands the GIL between them.
+Each block is scanned in slices of at most 3 * 2**14 trial-sites: a row of
+all of a range's live trials, the inner axis, by as many of the block's
+sites as fill the slice, so a site's key and thresholds broadcast over long
+contiguous rows and the scan makes few, long numpy calls.  Since R_i <= L,
+site k is the frontier exactly when R_k = 0, no site among the L - 1 before
+it reaches past it, and no earlier slice does either: R is counted in uint8
+(uint16 for L >= 256), the in-slice test is L - 1 shifted comparisons of R,
+and each trial carries the furthest site its earlier slices reach.  A trial leaves the scan at the end
 of the block where its frontier is found, so a trial that dies at site 1
 costs one hashed site.  Because every draw is a pure hash, this early exit
 returns exactly the frontiers of a full scan.  A slice is hashed whole into
 two reused uint64 arrays, the hashes and _mix_folded's scratch, and once the
 hashes are mixed the scratch bytes hold the stuck mask, a comparison mask
-and the reach counts: a worker holds 16 bytes per slice element (768 KiB),
+and the reach counts: the scan holds 16 bytes per slice element (768 KiB),
 plus 2 per element of a slice's last L - 1 rows, whatever the horizon or the
 trial count.  Thresholds are evaluated in pieces of sites
 2**k..2**(k+1) - 1, once, when a trial first scans the piece, and shared by
-every range and worker: about L^2/4 first-passage terms and at most N*L
-multiplications per site, in O(log S) calls.  The work a run records as
+every range: about L^2/4 first-passage terms and at most N*L multiplications
+per site, in O(log S) calls.  The work a run records as
 evaluated is, summed over trials, the end of the block holding the frontier
 (at most S): the hashed trial-sites.  `simulate --profile` derives the
 activation profile from the same run (activation_profile), so one command is
@@ -61,8 +61,6 @@ one MC pass.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,21 +258,17 @@ def _block_thresholds(spec, N: int, L: int, S: int):
     """thresholds(lo, hi): the reach thresholds of sites lo+1..hi of `spec`, (L, hi-lo).
 
     Sites are evaluated in pieces that double in width, 2**k..2**(k+1) - 1
-    cut at S, each once, on first use, and shared by every range and worker;
-    a scan block never crosses a piece edge.  So a run evaluates O(log S)
-    pieces and at most twice the sites some trial scans.
+    cut at S, each once, on first use, and shared by every range; a scan
+    block never crosses a piece edge.  So a run evaluates O(log S) pieces and
+    at most twice the sites some trial scans.
     """
-    lock = threading.Lock()
-
     @functools.cache
     def piece(k: int) -> np.ndarray:
         return _reach_thresholds(spec.values(1 << k, min(2 << k, S + 1)), N, L)
 
     def thresholds(lo: int, hi: int) -> np.ndarray:
         k = (lo + 1).bit_length() - 1
-        with lock:                      # a worker waits for a piece another is evaluating
-            table = piece(k)
-        return table[:, lo + 1 - (1 << k):hi + 1 - (1 << k)]
+        return piece(k)[:, lo + 1 - (1 << k):hi + 1 - (1 << k)]
     return thresholds
 
 
@@ -361,27 +355,14 @@ def _check_budget(cfg: SimConfig) -> int:
     return S
 
 
-def run_trials(cfg: SimConfig, threads: int = 1) -> np.ndarray:
+def run_trials(cfg: SimConfig) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg)
     thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L, S)
-    workers = max(1, min(threads, os.cpu_count() or 1))
-    # equal ranges of at most _RANGE_TRIALS, as many as the workers or a
-    # multiple of it, so that every worker gets the same share
-    count = -(-cfg.trials // _RANGE_TRIALS)
-    count = min(-(-count // workers) * workers, cfg.trials)
+    count = -(-cfg.trials // _RANGE_TRIALS)     # equal ranges of at most _RANGE_TRIALS
     bounds = [k * cfg.trials // count for k in range(count + 1)]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-
-    def scan(r):
-        return _frontiers(thresholds, S, cfg.seed, *r)
-    if workers == 1:
-        parts = [scan(r) for r in ranges]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, ranges))
-    return np.concatenate(parts)
+    return np.concatenate([_frontiers(thresholds, S, cfg.seed, lo, hi)
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
@@ -394,10 +375,10 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     return min(h, M), frozenset(range(1, h + 1))
 
 
-def estimate_survival(cfg: SimConfig, threads: int = 1) -> SimResult:
+def estimate_survival(cfg: SimConfig) -> SimResult:
     """Survival-to-horizon estimate with a Wilson interval; per-site counts on demand."""
     M = cfg.horizon
-    frontiers = run_trials(cfg, threads=threads)
+    frontiers = run_trials(cfg)
     survived = int(np.sum(frontiers >= M))
     lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
     S = M + cfg.params.L
@@ -444,6 +425,6 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     return ActivationProfile(sites=np.arange(1, M + 1), p_hat=p, ci_half=half, lower_curve=curve)
 
 
-def estimate_activation_profile(cfg: SimConfig, threads: int = 1) -> ActivationProfile:
+def estimate_activation_profile(cfg: SimConfig) -> ActivationProfile:
     """Run the MC for `cfg` and return its activation profile."""
-    return activation_profile(estimate_survival(cfg, threads=threads))
+    return activation_profile(estimate_survival(cfg))

@@ -256,6 +256,8 @@ class SequenceSpec:
         """q_n for n in [start, stop), vectorized; overrides take precedence over residue forms."""
         if start < 1:
             raise OutOfRangeError(f"sequence index must be >= 1, got {start}")
+        if stop > 2 ** 63:              # int64 indices: np.arange would wrap past 2**63 - 1
+            raise OverflowError(f"sequence indices must stay below 2**63, got stop {stop}")
         n = np.arange(start, stop, dtype=np.int64)
         out = np.empty(n.shape, dtype=np.float64)
         k = self.modulus

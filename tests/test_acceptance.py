@@ -61,7 +61,7 @@ def test_c01_closed_form_survival_l1():
     M, trials = 2000, 10**5
     cfg = SimConfig(params=ProcessParams(N=1, L=1, spec=spec_inv_square()),
                     horizon=M, trials=trials, seed=20260823)
-    res = estimate_survival(cfg, threads=2)
+    res = estimate_survival(cfg)
     exact = (M + 1) / (2 * M)
     elapsed = time.monotonic() - t0
     assert abs(res.p_hat - exact) <= 0.01, (res.p_hat, exact)
@@ -176,7 +176,7 @@ def test_c07_mc_classifier_consistency():
         assert classify(ProcessParams(N, L, spec)).outcome is Outcome.DIES_AS
         results = [estimate_survival(SimConfig(
             params=ProcessParams(N, L, spec), horizon=M, trials=trials,
-            seed=seed), threads=2) for M in horizons]
+            seed=seed)) for M in horizons]
         for shorter, longer in zip(results, results[1:]):
             assert longer.ci_high < shorter.ci_low, (
                 "extinction estimate did not decrease beyond CI overlap",
@@ -185,7 +185,7 @@ def test_c07_mc_classifier_consistency():
         assert classify(ProcessParams(N, L, spec)).outcome is Outcome.SURVIVES_WPP
         p = {M: estimate_survival(SimConfig(
             params=ProcessParams(N, L, spec), horizon=M, trials=trials,
-            seed=seed), threads=2).p_hat for M in horizons}
+            seed=seed)).p_hat for M in horizons}
         assert p[1600] >= 0.8 * p[100], p
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s over budget"
@@ -228,7 +228,7 @@ def test_c10_activation_profile():
     for spec, N, L, M in configs:
         cfg = SimConfig(params=ProcessParams(N, L, spec), horizon=M,
                         trials=5000, seed=31)
-        prof = estimate_activation_profile(cfg, threads=2)
+        prof = estimate_activation_profile(cfg)
         slack = 3 * prof.ci_half
         for i in range(1, M):
             assert prof.p_hat[i] <= prof.p_hat[i - 1] + slack[i] + 1e-12

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -116,38 +115,14 @@ class TestDeterminism:
         b = run_trials(cfg)
         assert np.array_equal(a, b)
 
-    def test_threads_do_not_change_result(self, mod2_spec):
-        cfg = make_cfg(mod2_spec, N=2, L=2, horizon=30, trials=300)
-        assert np.array_equal(run_trials(cfg, threads=1), run_trials(cfg, threads=3))
-
-    def test_workers_capped_at_cpu_count(self, mod2_spec, monkeypatch):
+    def test_ranges_do_not_change_result(self, mod2_spec, monkeypatch):
+        # the 300 trials in 6 or 43 ranges give the frontiers of one range
         import frogz.mc as mc_mod
-        asked = {}
-
-        class SerialPool:
-            # records what run_trials asks for and maps in this thread
-            def __init__(self, max_workers):
-                asked["max_workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, ranges):
-                ranges = list(ranges)
-                asked["ranges"] = len(ranges)
-                return map(fn, ranges)
-
         cfg = make_cfg(mod2_spec, N=2, L=2, horizon=30, trials=300)
         baseline = run_trials(cfg)
-        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 2)
-        # run_trials imports the pool class when it builds one
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
-        assert np.array_equal(mc_mod.run_trials(cfg, threads=10**6), baseline)
-        # two workers, and one range for each of them
-        assert asked == {"max_workers": 2, "ranges": 2}
+        for range_trials in (50, 7):
+            monkeypatch.setattr(mc_mod, "_RANGE_TRIALS", range_trials)
+            assert np.array_equal(mc_mod.run_trials(cfg), baseline)
 
     def test_chunking_does_not_change_result(self, mod2_spec, monkeypatch):
         import frogz.mc as mc_mod
@@ -207,8 +182,7 @@ class TestBlockedScan:
         cfg = make_cfg(single(ConstantForm(q=q)), N=N, L=L, horizon=S_cfg - L,
                        trials=trials, seed=seed)
         qs = cfg.params.spec.values(1, S_cfg + 1)
-        assert np.array_equal(run_trials(cfg, threads=2),
-                              unblocked_frontiers(qs, N, L, seed, 0, trials))
+        assert np.array_equal(run_trials(cfg), unblocked_frontiers(qs, N, L, seed, 0, trials))
         # per-site laws mixing sure right steps, coin flips and sure left
         # steps: walks then often jump a block edge onto a site that stalls
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
@@ -236,19 +210,21 @@ class TestBlockedScan:
         assert np.all(got == want)
 
     @pytest.mark.parametrize("chunk", [None, 3000])
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_workers_match_unblocked_oracle(self, sqrt_spec, threads, chunk, monkeypatch):
+    @pytest.mark.parametrize("ranges", [1, 2, 3, 22])
+    def test_workers_match_unblocked_oracle(self, sqrt_spec, ranges, chunk, monkeypatch):
         # 3000 trial-sites per slice: a range of 150 trials takes several
-        # slices of the wider blocks, one range per worker
+        # slices of the wider blocks.  The 150 trials make one range at the
+        # default _RANGE_TRIALS, and 2, 3 or 22 at 75, 50 or 7
         import frogz.mc as mc_mod
-        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 4)
+        if ranges > 1:
+            monkeypatch.setattr(mc_mod, "_RANGE_TRIALS", -(-150 // ranges))
         if chunk:
             monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
         cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
         want = unblocked_frontiers(sqrt_spec.values(1, 201), 1, 3, 24, 0, 150)
         # frontiers in every doubling block, a full one and the last one
         assert set(_block_end(want, 200).tolist()) == {1, 3, 7, 15, 31, 63, 127, 200}
-        assert np.array_equal(run_trials(cfg, threads=threads), want)
+        assert np.array_equal(mc_mod.run_trials(cfg), want)
 
     @pytest.mark.parametrize("q0", [0.5, 1 / 3, 0.1, 1 - 2.0**-53, 2.0**-60])
     def test_integer_threshold_matches_float_test(self, q0):
@@ -279,39 +255,39 @@ class TestBlockedScan:
         assert peak[20_000] <= 1.5 * peak[2_000], peak
 
     def test_memory_bounded_by_the_chunk(self, inv_square_spec, sqrt_spec):
-        # per worker 16 bytes per slice element: the slice's uint64 hashes
-        # (8) and _mix_folded's scratch (8), whose bytes then hold the stuck
-        # mask, a comparison mask and the reach counts (at most 4), plus the
-        # uint16 reach ends of the last L - 1 rows; 1.5 MiB for two workers at
-        # 3 * 2**14, plus 1 MiB for the per-trial arrays and the thresholds
+        # 16 bytes per slice element: the slice's uint64 hashes (8) and
+        # _mix_folded's scratch (8), whose bytes then hold the stuck mask, a
+        # comparison mask and the reach counts (at most 4), plus the uint16
+        # reach ends of the last L - 1 rows; 0.75 MiB at 3 * 2**14, plus 1 MiB
+        # for the per-trial arrays and the thresholds
         import frogz.mc as mc_mod
-        bound = 11 * 2**18
-        assert 2 * 16 * mc_mod._CHUNK_ELEMENTS + 2**20 <= bound
+        bound = 7 * 2**18
+        assert 16 * mc_mod._CHUNK_ELEMENTS + 2**20 <= bound
         # the two mc_survive configs of the benchmark
         for cfg in (make_cfg(inv_square_spec, N=1, L=1, horizon=2000, trials=20_000),
                     make_cfg(sqrt_spec, N=2, L=3, horizon=800, trials=10_000)):
             tracemalloc.start()
             try:
-                run_trials(cfg, threads=2)
+                run_trials(cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < bound, (cfg.params.N, cfg.params.L, peak)
 
     def test_memory_per_trial(self, sqrt_spec):
-        # 2 * 10**5 trials: the two workers' slice scratch, 16 bytes per trial
-        # (the ranges' frontiers and their concatenation) and 1 MiB for the
-        # range arrays and the thresholds
+        # 2 * 10**5 trials: the slice scratch, 16 bytes per trial (the
+        # ranges' frontiers and their concatenation) and 1 MiB for the range
+        # arrays and the thresholds
         import frogz.mc as mc_mod
         trials = 200_000
         cfg = make_cfg(sqrt_spec, N=2, L=3, horizon=60, trials=trials)
         tracemalloc.start()
         try:
-            run_trials(cfg, threads=2)
+            run_trials(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 13 * mc_mod._CHUNK_ELEMENTS + 16 * trials + 2**20, peak
+        assert peak < 16 * mc_mod._CHUNK_ELEMENTS + 16 * trials + 2**20, peak
 
     @pytest.mark.parametrize("L", [1, 2, 63, 64, 65, 255, 256, 300])
     def test_long_reach_matches_unblocked_oracle(self, L):
@@ -327,7 +303,7 @@ class TestBlockedScan:
         cfg = make_cfg(single(ConstantForm(q=0.6)), N=1, L=L, horizon=L + 70, trials=40, seed=9)
         want = unblocked_frontiers(cfg.params.spec.values(1, S + 1), 1, L, 9, 0, 40)
         assert len(set(want.tolist())) >= 4
-        assert np.array_equal(run_trials(cfg, threads=2), want)
+        assert np.array_equal(run_trials(cfg), want)
 
 
 def _splitmix64(z: int) -> int:
@@ -356,18 +332,17 @@ class TestHashKernel:
         folded = _fold(a) ^ _fold(b)
         assert np.array_equal(_mix_folded(folded, np.empty_like(folded)), want)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name, N, L, horizon, trials, digest", [
         ("inv_square", 1, 1, 2000, 20_000,
          "abecd1424410407d0b933262dc4e097a19f84dba2f2377860f72da952c13a043"),
         ("sqrt_decay", 2, 3, 800, 10_000,
          "5306014b5bf98c39265d0d2f61c49dc92fd71f6b15cd86cdd708c8626015308c"),
     ])
-    def test_benchmark_frontiers_pinned(self, name, N, L, horizon, trials, digest, threads):
+    def test_benchmark_frontiers_pinned(self, name, N, L, horizon, trials, digest):
         # the two mc_survive configs at seed 11, bit for bit: slice and range
         # seams only show with thousands of live trials
         cfg = make_cfg(_config_spec(name), N=N, L=L, horizon=horizon, trials=trials, seed=11)
-        frontiers = run_trials(cfg, threads=threads)
+        frontiers = run_trials(cfg)
         assert hashlib.sha256(frontiers.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -546,26 +521,6 @@ class TestReachLaw:
         assert mc_mod.run_trials(cfg).tolist() == [2002]
         assert calls == [2**k for k in range(10)] + [2002 - 1023]
 
-    def test_pieces_evaluated_once_by_racing_workers(self, monkeypatch):
-        # 8 workers on 2 cores, switching threads every microsecond, all
-        # reach every piece at about the same time: each is evaluated once
-        import frogz.mc as mc_mod
-        calls = []
-
-        def counted(q, N, L):
-            calls.append(q.size)
-            return _miss_probs(q, N, L)
-        monkeypatch.setattr(mc_mod, "_miss_probs", counted)
-        monkeypatch.setattr(mc_mod.os, "cpu_count", lambda: 8)
-        cfg = make_cfg(single(ConstantForm(q=1e-6)), N=1, L=2, horizon=2000, trials=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert mc_mod.run_trials(cfg, threads=8).tolist() == [2002] * 8
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(calls) == sorted([2**k for k in range(10)] + [2002 - 1023])
-
 
 class TestExactLaw:
     @pytest.mark.parametrize("M", [10, 200, 2000])
@@ -585,8 +540,7 @@ class TestExactLaw:
         spec = _config_spec(name)
         trials = 20_000
         law = activation_law(spec.values(1, M), N, L)          # P(E_1..E_M)
-        res = estimate_survival(make_cfg(spec, N=N, L=L, horizon=M, trials=trials, seed=1),
-                                threads=2)
+        res = estimate_survival(make_cfg(spec, N=N, L=L, horizon=M, trials=trials, seed=1))
         se = np.sqrt(law * (1 - law) / trials)
         assert abs(res.p_hat - law[-1]) <= 4 * se[-1], (res.p_hat, law[-1])
         z = (res.site_counts / trials - law)[se > 0] / se[se > 0]

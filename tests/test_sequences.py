@@ -59,6 +59,10 @@ class TestEval:
         assert const_spec.value(2**63 - 1) == 0.5
         with pytest.raises(OverflowError):
             const_spec.value(2**63)
+        # a stop past 2**63 would wrap the last index to -2**63
+        assert const_spec.values(2**63 - 2, 2**63).tolist() == [0.5, 0.5]
+        with pytest.raises(OverflowError):
+            const_spec.values(2**63 - 2, 2**63 + 1)
 
     def test_values_matches_scalar(self, inv_square_spec, sqrt_spec, log_spec, mod2_spec,
                                    dyadic_spec, const_spec):
