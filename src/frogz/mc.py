@@ -51,11 +51,12 @@ plus 2 per element of a slice's last L - 1 rows, whatever the horizon or the
 trial count.  Thresholds are evaluated in pieces of sites
 2**k..2**(k+1) - 1, once, when a trial first scans the piece, and shared by
 every range: about L^2/4 first-passage terms and at most N*L multiplications
-per site, in O(log S) calls.  The work a run records as
-evaluated is, summed over trials, the end of the block holding the frontier
-(at most S): the hashed trial-sites.  `simulate --profile` derives the
-activation profile from the same run (activation_profile), so one command is
-one MC pass.
+per site, in O(log S) calls.  A run keeps one histogram, the trials per
+frontier site up to the furthest frontier, capped at M, and every number it
+reports reads it; the work it records as evaluated is, summed over trials, the
+end of the block holding the frontier (at most S): the hashed trial-sites.
+`simulate --profile` derives the activation profile from the same run
+(activation_profile), so one command is one MC pass.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .classify import ProcessParams
 from .errors import OutOfRangeError, TooLargeError
 from .exact import _reach_sums
 
-DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials * N, L)
+DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials, N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
 _CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; L * sites per threshold piece
 _RANGE_TRIALS = 2 ** 14       # the most trials one range scans: <= _CHUNK_ELEMENTS, one slice row
@@ -145,7 +146,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     config: SimConfig
-    max_sites: np.ndarray        # per-trial max activated site, capped at M
+    hist: np.ndarray             # trials per max activated site, capped at M, up to the largest
     survival_count: int
     p_hat: float
     ci_low: float
@@ -155,7 +156,7 @@ class SimResult:
     @property
     def site_counts(self) -> np.ndarray:
         """Activation counts for sites 1..M, built on demand: O(M) memory."""
-        hist = np.bincount(self.max_sites, minlength=self.config.horizon + 1)
+        hist = np.pad(self.hist, (0, self.config.horizon + 1 - len(self.hist)))
         # E_i holds iff the frontier reached at least i
         return np.cumsum(hist[::-1])[::-1][1:]
 
@@ -168,8 +169,9 @@ class SimResult:
                 "p_hat": self.p_hat,
                 "ci_low": self.ci_low,
                 "ci_high": self.ci_high,
-                "max_site_mean": float(np.mean(self.max_sites)),
-                "max_site_max": int(np.max(self.max_sites)),
+                # an exact int total, so the mean is correctly rounded
+                "max_site_mean": int(np.arange(len(self.hist)) @ self.hist) / self.config.trials,
+                "max_site_max": len(self.hist) - 1,
             },
         }
 
@@ -345,12 +347,11 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
 
 
 def _check_budget(cfg: SimConfig) -> int:
-    S = cfg.horizon + cfg.params.L
-    N, L = cfg.params.N, cfg.params.L
-    work = S * L * max(cfg.trials * N, L)
+    S, N, L = cfg.horizon + cfg.params.L, cfg.params.N, cfg.params.L
+    work = S * L * max(cfg.trials, N, L)
     if work > DEFAULT_WORK_BUDGET:
         raise TooLargeError(
-            f"sites*L*max(trials*N, L) = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
+            f"sites*L*max(trials, N, L) = {work} exceeds the work budget {DEFAULT_WORK_BUDGET}"
         )
     return S
 
@@ -377,22 +378,16 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
 
 def estimate_survival(cfg: SimConfig) -> SimResult:
     """Survival-to-horizon estimate with a Wilson interval; per-site counts on demand."""
-    M = cfg.horizon
-    frontiers = run_trials(cfg)
-    survived = int(np.sum(frontiers >= M))
+    M, S = cfg.horizon, cfg.horizon + cfg.params.L
+    hist = np.bincount(run_trials(cfg))     # trials per frontier, up to the furthest
+    sites = np.flatnonzero(hist)
+    # a trial hashes the sites up to the end of the block holding its frontier
+    work = {"budgeted": cfg.trials * S, "evaluated": int(_block_end(sites, S) @ hist[sites])}
+    survived = int(hist[M:].sum())
+    hist[M:M + 1] = survived                # cap at M: empty when no trial reached M
     lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
-    S = M + cfg.params.L
-    return SimResult(
-        config=cfg,
-        max_sites=np.minimum(frontiers, M),
-        survival_count=survived,
-        p_hat=survived / cfg.trials,
-        ci_low=lo,
-        ci_high=hi,
-        # a trial hashes the sites up to the end of the block holding its frontier
-        work={"budgeted": cfg.trials * S,
-              "evaluated": int(_block_end(frontiers, S).sum())},
-    )
+    return SimResult(config=cfg, hist=hist[:M + 1], survival_count=survived,
+                     p_hat=survived / cfg.trials, ci_low=lo, ci_high=hi, work=work)
 
 
 def _profile_blocks(cfg: SimConfig) -> tuple[int, int]:

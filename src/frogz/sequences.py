@@ -175,13 +175,17 @@ class SparseOverride:
         if not (self.a >= 1 and self.b >= 2 and self.j0 >= 0):
             raise InvalidSpecError(f"bad override family: a={self.a}, b={self.b}, j0={self.j0}")
         self.form.check()
-        # the family's first value is its largest: forms do not increase
+        # the family's first value is its largest and its last below 2**63 its
+        # smallest: forms do not increase
         try:
             v = self.form.value(self.j0)
         except ArithmeticError as exc:  # a pole at j0 = 0, or j0 too large for a float
             raise InvalidSpecError(f"override form undefined at j0={self.j0}") from exc
         if not (0.0 < v < 1.0):
             raise InvalidSpecError(f"override form value {v} at j0={self.j0} outside (0,1)")
+        for j, _ in self.indices_upto(2**63)[-1:]:
+            if not self.form.value(j) > 0.0:
+                raise InvalidSpecError(f"override form underflows to 0.0 at j={j}")
 
     def indices_upto(self, stop: int) -> list[tuple[int, int]]:
         """All (j, n) with n = a*b^j < stop, j >= j0, in increasing n."""
@@ -221,8 +225,12 @@ class SequenceSpec:
                 f"need one form per residue: modulus {k}, got {len(self.residue_forms)}"
             )
         try:
-            for form in self.residue_forms:
+            for r, form in enumerate(self.residue_forms):
                 form.check()
+                # a form is smallest at its residue's last index below 2**63
+                s = _occurrence_counter(2**63 - 1, r, k)
+                if not form.value_array(np.array([s]))[0] > 0.0:
+                    raise InvalidSpecError(f"residue {r} form underflows to 0.0 at counter {s}")
             for ov in self.overrides:
                 ov.check()
             self._check_override_disjointness()

@@ -17,6 +17,9 @@ e_i >= 1.
 
 `wilson_interval` is the one-count-at-a-time Wilson interval in Python floats;
 `frogz.mc.wilson_interval` on an array of counts must match it bit for bit.
+
+`survival_fields` computes what a run reports from one frontier per trial;
+`frogz.mc.estimate_survival`, which reads a frontier histogram, must match it.
 """
 
 import math
@@ -26,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from frogz.exact import _path_counts
-from frogz.mc import _K1, _K2, _miss_probs, _mix
+from frogz.mc import _K1, _K2, _block_end, _miss_probs, _mix
 
 
 def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
@@ -101,3 +104,22 @@ def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def survival_fields(frontiers: np.ndarray, M: int, S: int) -> dict:
+    """What `frogz.mc.estimate_survival` reports, from one frontier per trial.
+
+    These are the per-trial formulas the frontier histogram replaces: the
+    frontiers capped at M give the mean, the max and the per-site counts
+    (E_i holds iff the frontier reached at least i), and each trial hashes the
+    sites up to the end of the scan block holding its frontier.
+    """
+    capped = np.minimum(frontiers, M)
+    hist = np.bincount(capped, minlength=M + 1)
+    return {
+        "survival_count": int(np.sum(frontiers >= M)),
+        "max_site_mean": float(np.mean(capped)),
+        "max_site_max": int(np.max(capped)),
+        "site_counts": np.cumsum(hist[::-1])[::-1][1:].tolist(),
+        "evaluated": int(_block_end(frontiers, S).sum()),
+    }

@@ -539,18 +539,26 @@ class TestSimulateCommand:
         out = tmp_path / "sim.jsonl"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
         assert capsys.readouterr().err == (
-            f"refused: sites*L*max(trials*N, L) = {work} exceeds the work budget 4000000000\n")
+            f"refused: sites*L*max(trials, N, L) = {work} exceeds the work budget 4000000000\n")
         assert not out.exists()
 
     def test_budget_refusal(self, config_file, tmp_path, capsys):
-        # hashing: sites * L * trials * N, the old trials*sites*N*L
+        # hashing: sites * L * trials, at N = 1 the old trials*sites*N*L
         self._refused(config_file, tmp_path, capsys, {"horizon": 10**6, "trials": 10**4},
                       (10**6 + 2) * 2 * 10**4)
 
     def test_budget_counts_threshold_terms(self, config_file, tmp_path, capsys):
-        # L > trials * N: the first-passage terms, sites * L * L, decide
+        # L > max(trials, N): the first-passage terms, sites * L * L, decide
         self._refused(config_file, tmp_path, capsys, {"L": 1000, "horizon": 5000, "trials": 1},
                       6000 * 1000 * 1000)
+
+    def test_large_N_admitted(self, config_file, tmp_path):
+        # the scan hashes trials * sites whatever N is: N = 10^4 at 1000 trials
+        # was refused at 501 * 1 * 1000 * 10^4 = 5.01e9
+        cfg = config_file(_sim(N=10**4, L=1, horizon=500, trials=1000))
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["result"]["trials"] == 1000
 
     def test_left_step_below_half_an_ulp(self, config_file, tmp_path):
         # q_n = 1e-17/(n+1) <= 2**-54: 1 - q rounds to 1, every walk reaches L

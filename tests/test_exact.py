@@ -198,6 +198,18 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _steep(alpha, period=32):
+    """q_n = 0.5 * n^-alpha at sites 1..period, repeated with that period.
+
+    The power law itself underflows to 0.0 far below index 2**63, so the DSL
+    refuses it as a spec; every test here reads fewer than `period` sites,
+    which carry its values bit for bit.
+    """
+    q = PowerLaw(c=0.5, alpha=alpha).value_array(np.arange(1, period + 1))
+    return SequenceSpec(modulus=period,
+                        residue_forms=tuple(ConstantForm(q=float(v)) for v in np.roll(q, 1)))
+
+
 # alpha up to 60 makes some q_i so small that 1 - q_i rounds to 1
 forms = st.one_of(
     st.builds(PowerLaw, c=st.floats(0.05, 1.0), alpha=st.floats(0.2, 60.0),
@@ -309,7 +321,7 @@ class TestBatchedTable:
         (SequenceSpec(modulus=2, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),
                                                 LogInverse(c=1, offset=2))),
          2, 14, 900, "sandwich violated at n=842:"),
-        (single(PowerLaw(c=0.5, alpha=40, offset=0)), 2, 3, 10, "p_right must be in (0,1)"),
+        (_steep(40), 2, 3, 10, "p_right must be in (0,1)"),
     ], ids=["inv_square", "mod2_interleave", "p_right_one"])
     def test_first_error_matches_oracle(self, spec, N, L, n_max, message):
         got = outcome(build_reach_table, spec, N, L, n_max)
@@ -325,7 +337,7 @@ class TestBatchedTable:
         # site 4 fails first at n=2, j=2; a sandwich violation is injected at
         # block `index`, position j, whose walk starts at site index + j and
         # reads the row of displacement L + 1 - j
-        spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
+        spec = _steep(30)
         L = 2
         sums = exact_mod._reach_sums
 
@@ -377,7 +389,7 @@ class TestChunkSeams:
     def test_first_failure_in_a_later_chunk(self, monkeypatch, L, cells):
         # 1 - q_4 rounds to 1, so block 4 - L fails first; a chunk holds
         # cells // (2L) <= 4 - L blocks, so that block lies in a later chunk
-        spec = single(PowerLaw(c=0.5, alpha=30))
+        spec = _steep(30)
         assert cells // (2 * L) <= 4 - L
         monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
         got = outcome(build_reach_table, spec, 1, L, 10)
@@ -436,7 +448,7 @@ class TestBatchedBoundCheck:
             "None-2-OutOfRangeError"])
     def test_first_failure_in_position_order(self, monkeypatch, violate_j, error):
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not)
-        spec = single(PowerLaw(c=0.5, alpha=30, offset=0))
+        spec = _steep(30)
         L = 2
         sums = exact_mod._reach_sums
 

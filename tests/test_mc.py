@@ -34,6 +34,7 @@ from frogz.sequences import ConstantForm, SequenceSpec, single
 from mc_oracle import (
     activation_law,
     miss_law,
+    survival_fields,
     unblocked_frontiers,
     wilson_interval as wilson_oracle,
 )
@@ -68,6 +69,29 @@ class TestConfig:
         monkeypatch.setattr(mc_mod, "DEFAULT_WORK_BUDGET", 10)
         with pytest.raises(TooLargeError):
             run_trials(cfg)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_guard_admits_every_run_the_old_guard_admitted(self, data):
+        # the old guard charged (M+L)*L*max(trials*N, L); max(trials, N) <= trials*N
+        import frogz.mc as mc_mod
+        budget = mc_mod.DEFAULT_WORK_BUDGET
+        L = data.draw(st.integers(1, 3 * 10**4))
+        horizon = data.draw(st.integers(L + 1, max(L + 1, budget // L**2 - L)))
+        per_site = budget // ((horizon + L) * L)       # trials * N within the old budget
+        trials = data.draw(st.integers(1, max(1, per_site)))
+        N = data.draw(st.integers(1, max(1, per_site // trials)))
+        old = (horizon + L) * L * max(trials * N, L)
+        cfg = make_cfg(single(ConstantForm(q=0.5)), N=N, L=L, horizon=horizon, trials=trials)
+        if old <= budget:
+            assert mc_mod._check_budget(cfg) == horizon + L
+        assert (horizon + L) * L * max(trials, N, L) <= old
+
+    def test_guard_refuses_large_N(self, const_spec):
+        # N alone still counts: the threshold power takes up to N*L steps per site
+        import frogz.mc as mc_mod
+        with pytest.raises(TooLargeError, match=r"max\(trials, N, L\) = 4000000002 exceeds"):
+            mc_mod._check_budget(make_cfg(const_spec, N=1_333_333_334, L=1, horizon=2, trials=1))
 
     def test_to_dict_round_trips_through_json(self, mod2_spec):
         cfg = make_cfg(mod2_spec, N=2, L=3, horizon=40)
@@ -431,6 +455,19 @@ class TestEstimates:
         assert peak < 2**20, peak
         assert res.site_counts[0] == 1 and res.site_counts.shape == (10**6,)
 
+    def test_survival_memory_per_trial(self):
+        # one frontier histogram: at 10^6 trials nothing but run_trials' int64
+        # frontiers and their per-range pieces grows with the trial count
+        trials = 10**6
+        cfg = make_cfg(single(ConstantForm(q=0.5)), horizon=2, trials=trials)
+        tracemalloc.start()
+        try:
+            estimate_survival(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * trials + 4 * 2**20, peak
+
     @given(seed=st.integers(0, 2**32), trials=st.integers(1, 64))
     @settings(max_examples=25, deadline=None)
     def test_phat_consistent_with_counts(self, seed, trials):
@@ -556,3 +593,22 @@ class TestExactLaw:
         law = activation_law(spec.values(1, M), N, L)
         an = a_n_array(spec, N, L, 1, M - L)
         assert np.all(law[L] * np.cumprod(1.0 - an) <= law[L + 1:] * (1 + 1e-12))
+
+
+class TestFrontierHistogram:
+    @pytest.mark.parametrize("size", ["own", "40000x60", "3"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
+    def test_matches_per_trial_formulas(self, name, size):
+        # every number a run reports reads the histogram; the per-trial
+        # formulas on run_trials' frontiers must give the same, bit for bit
+        config = json.loads((_CONFIGS / f"{name}.json").read_text())
+        trials, M = {"own": (config["trials"], config["horizon"]), "40000x60": (40_000, 60),
+                     "3": (3, config["horizon"])}[size]
+        cfg = make_cfg(_config_spec(name), N=config["N"], L=config["L"], horizon=M,
+                       trials=trials, seed=5)
+        res = estimate_survival(cfg)
+        result = res.aggregate_dict()["result"]
+        got = {key: result[key] for key in ("survival_count", "max_site_mean", "max_site_max")}
+        got.update(site_counts=res.site_counts.tolist(), evaluated=res.work["evaluated"])
+        assert got == survival_fields(run_trials(cfg), M, M + config["L"])
+        assert res.hist.sum() == trials and len(res.hist) <= M + 1

@@ -151,6 +151,41 @@ class TestValidity:
         with pytest.raises(InvalidSpecError):
             single(PowerLaw(c=0.5, alpha=1e-320, offset=1))
 
+    def test_underflow_past_the_prefix_scan_rejected(self):
+        # 1e-320 / n is 0.0 from n = 4048, past the 1000-index prefix scan
+        form = PowerLaw(c=1e-320, alpha=1)
+        assert form.value_array(np.array([4047, 4048])).tolist()[1] == 0.0 < form.value(4047)
+        with pytest.raises(InvalidSpecError, match="underflows to 0.0"):
+            single(form)
+        with pytest.raises(InvalidSpecError, match="underflows to 0.0"):
+            single(LogInverse(c=1e-322))
+        # q_n = 1e-17 / (n + 1) stays positive up to 2**63
+        spec = single(PowerLaw(c=1e-17, alpha=1, offset=1))
+        assert spec.values(2**63 - 1, 2**63)[0] > 0.0
+
+    def test_underflow_checked_at_each_residues_last_index(self):
+        # 1.7e-305 / n underflows at n = 2**63 - 1, not at n = 2**62: alone the
+        # form reaches counter 2**63 - 1, in either class of modulus 2 at most 2**62
+        form = PowerLaw(c=1.7e-305, alpha=1)
+        with pytest.raises(InvalidSpecError, match="residue 0 form underflows"):
+            single(form)
+        spec = SequenceSpec(modulus=2, residue_forms=(form, form))
+        assert np.all(spec.values(2**63 - 2, 2**63) > 0.0)
+        with pytest.raises(InvalidSpecError, match="residue 1 form underflows"):
+            SequenceSpec(modulus=2,
+                         residue_forms=(ConstantForm(q=0.5), PowerLaw(c=1e-320, alpha=1)))
+
+    def test_override_underflow_rejected(self):
+        # 1e-322 * j^-3 is positive at j0 = 1 and 0.0 at j = 62, the last j with
+        # 2**j below 2**63; a family that stops at j = 2 below 2**63 is fine
+        form = PowerLaw(c=1e-322, alpha=3)
+        with pytest.raises(InvalidSpecError, match="override form underflows to 0.0 at j=62"):
+            SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),),
+                         overrides=(SparseOverride(a=1, b=2, form=form),))
+        short = SparseOverride(a=2**60, b=2, form=form)
+        spec = SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),), overrides=(short,))
+        assert spec.value(2**62) == form.value(2) > 0.0
+
     def test_override_valid_from_j0_accepted(self):
         ov = SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1, offset=3))
         spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
