@@ -128,12 +128,12 @@ def weakest_alignment(exps: tuple[SeriesExponent, ...]) -> SeriesExponent:
     return min(exps, key=lambda s: (s.power_exp, s.log_exp))
 
 
-def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
-    """Per-alignment exponents (E_r, F_r) and the minimum-E_r witness.
+def min_alignment_exponent(spec: SequenceSpec, N: int, L: int) -> tuple[SeriesExponent, ...]:
+    """Per-alignment exponents (E_r, F_r), one per residue r.
 
     E_r collects N * alpha * f(j) over power-law block positions, F_r collects
     N * f(j) over log-inverse positions; constant positions contribute only a
-    constant factor and drop out.  The witness is weakest_alignment's.
+    constant factor and drop out.
     """
     if spec.overrides:
         raise InvalidSpecError("alignment exponents are undefined with sparse overrides")
@@ -154,7 +154,7 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int):
             elif form.kind == "loginv":
                 g += N * f(j)
         out.append(SeriesExponent(residue=r, power_exp=e, log_exp=g))
-    return tuple(out), weakest_alignment(out)
+    return tuple(out)
 
 
 def series_test(spec: SequenceSpec, N: int, L: int) -> tuple[Outcome, tuple[SeriesExponent, ...]]:
@@ -173,13 +173,13 @@ def series_test(spec: SequenceSpec, N: int, L: int) -> tuple[Outcome, tuple[Seri
     applies (L0 <= L < L1 and m > b), which is the only place classify()
     consults it.
     """
-    exps, _ = min_alignment_exponent(spec, N, L)
+    exps = min_alignment_exponent(spec, N, L)
     if any(e.diverges for e in exps):
         return Outcome.DIES_AS, exps
     k = spec.modulus
     trunc_L = k * (L // k)
     if k >= 2 and trunc_L >= 1 and trunc_L < L:
-        trunc_exps, _ = min_alignment_exponent(spec, N, trunc_L)
+        trunc_exps = min_alignment_exponent(spec, N, trunc_L)
         if any(e.power_exp < 1.0 - EDGE_TOL for e in trunc_exps):
             return Outcome.DIES_AS, exps
     return Outcome.SURVIVES_WPP, exps

@@ -140,7 +140,7 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
                 min_e = min_f = ""
             else:
                 # where R7 decided, the verdict carries the exponents already
-                exps = verdict.exponents or min_alignment_exponent(spec, N, L)[0]
+                exps = verdict.exponents or min_alignment_exponent(spec, N, L)
                 best = weakest_alignment(exps)
                 min_e, min_f = repr(best.power_exp), best.log_exp
             rows.append([

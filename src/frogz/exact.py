@@ -4,17 +4,16 @@ Single-walk reach probabilities from first-passage sums (with a 2^L
 path-enumeration oracle), the block quantities a_n, the two-sided sandwich
 bounds around them, and truncated survival products.
 
-_reach_sums is the package's one reach law: the Monte Carlo draws each site's
-reach from it too (mc._miss_probs).  It runs on an array of walks at once,
-for every displacement d = 1..L.  Tables, profiles and bound checks reach it
-through one block-grid path, `_block_grid`, which sums each site of a batch
-once and reads the row of each block position's displacement; `reach_prob` is
-an array of one.  A batched value is bit-identical to a one-walk value: every
-element goes through the same IEEE operations in the same order, and powers
-use Python's `**` on each element, never np.power, whose last bit can differ.
-The sums are float64 only: a step probability of another number type (a
-fractions.Fraction, say) is converted once with float() where it enters, and
-exact rationals live only in the path-count oracle, brute_force_reach.
+_first_passage is the package's one reach law, on an array of walks at once.
+_reach_sums runs it for every displacement d = 1..L of each walk (the Monte
+Carlo's mc._miss_probs, and `reach_prob` as an array of one); tables, profiles
+and bound checks run it in `_block_grid`, once per (block, position) cell at
+the cell's displacement.  A batched value is bit-identical to a one-walk value:
+every element goes through the same IEEE operations in the same order, and
+powers use Python's `**` on each element, never np.power, whose last bit can
+differ.  The sums are float64 only: a step probability of another number type
+(a fractions.Fraction, say) is converted once with float() where it enters,
+and exact rationals live only in the path-count oracle, brute_force_reach.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .errors import BoundViolationError, OutOfRangeError, TooLargeError
 from .sequences import SequenceSpec
 
 ENUMERATION_MAX_STEPS = 20  # 2^L guard for the brute-force oracle
-_DP_CELLS = 1 << 14         # cells of an (L, sites) piece of the sums; a chunk's grid has half
+_DP_CELLS = 1 << 14         # cells of a chunk's (blocks, L) grid: _DP_CELLS // L blocks
 _LDEXP_MAX = 2200           # 2^2200 * (smallest subnormal) already exceeds 1
-_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of a block query, which sums ~(blocks + L) L^2 / 4 terms
+_DP_WORK_MAX = 4 * 10**9    # blocks * L^3 of a block query, which sums ~blocks L^2 3/4 terms
 
 
 def f(j: int, L: int | None = None) -> int:
@@ -67,31 +66,33 @@ class WalkLaw:
             raise OutOfRangeError(f"steps must be >= 1, got {self.steps}")
 
 
-def _reach_sums(q: np.ndarray, L: int) -> np.ndarray:
-    """reach[d-1, i] = P(an L-step walk with left-step probability q[i] reaches d),
-    for d = 1..L: an (L, sites) array.
-
-    A walk with right-step probability p = 1 - q first reaches d at step
-    t = d + 2j with probability (d/t) C(t, j) p^(d+j) q^j (the ballot numbers;
-    Feller, vol. 1, ch. III), so reach is the sum of these first-passage terms
-    g_j at t <= L in increasing t, each term from the one before it,
-    g_j = g_{j-1} * pq (t-2)(t-1) / (j (d+j)), starting at g_0 = p^d.  A term
-    depends on (q, d, j) only, so a longer lifetime only appends terms to each
-    sum.  q is taken as given: p = 1 - q may round to 1.
+def _first_passage(term: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """reach[d-1] = P(an L-step walk reaches d), for rows d = 1..L of walks with
+    term[d-1] = p^d and pq[d-1] = p q, p = 1 - q being the right-step probability.
+    A walk first reaches d at step t = d + 2j with probability g_j = (d/t) C(t, j)
+    p^(d+j) q^j (the ballot numbers; Feller, vol. 1, ch. III): reach sums these at
+    t <= L in increasing t, g_j = g_{j-1} * pq (t-2)(t-1) / (j (d+j)) from g_0 = p^d.
+    A term depends on (q, d, j) only: a longer lifetime only appends terms.
     """
-    p = 1.0 - q
-    pq = p * q
-    term = np.empty((L, q.size))
-    term[0] = p
-    for d in range(1, L):
-        np.multiply(term[d - 1], p, out=term[d])
+    L = len(term)
     reach = term.copy()
     d = np.arange(1, L + 1)
     for j in range(1, (L + 1) // 2):
         t = d[:L - 2 * j] + 2 * j
-        term = term[:L - 2 * j] * (((t - 2) * (t - 1) / (j * (t - j)))[:, None] * pq)
+        term = term[:L - 2 * j] * (((t - 2) * (t - 1) / (j * (t - j)))[:, None] * pq[:L - 2 * j])
         reach[:L - 2 * j] += term
     return reach
+
+
+def _reach_sums(q: np.ndarray, L: int) -> np.ndarray:
+    """_first_passage for d = 1..L of walks with left-step probabilities q (taken as
+    given: 1 - q may round to 1), with p^d = p^(d-1) * p: an (L, sites) array."""
+    p = 1.0 - q
+    term = np.empty((L, q.size))
+    term[0] = p
+    for d in range(1, L):
+        np.multiply(term[d - 1], p, out=term[d])
+    return _first_passage(term, np.broadcast_to(p * q, term.shape))
 
 
 def reach_prob(law: WalkLaw, d: int) -> float:
@@ -151,17 +152,16 @@ def brute_force_reach(law: WalkLaw, d: int):
                for k in range(L + 1))
 
 
-def _block_grid(q: np.ndarray, sites: np.ndarray, N: int, L: int):
-    """The sandwich of a (blocks, L) grid: cell [i, j - 1] is block i's walk at
-    position j, from site s = sites[i, j - 1], with left-step probability q[s].
-
-    Returns the grids lower <= miss <= upper and, per block, None or (j, error)
-    for its first walk that fails as WalkLaw would, its 1 - q outside (0, 1).
-    miss = (1 - reach)^N reads row d = L + 1 - j of the site's _reach_sums,
-    summed once per site, _DP_CELLS // L sites at a time.  lower = q^(N f(j)).
-    upper = min(1, 2^(NL) lower) scales lower exactly, never forming the float
-    2^(NL) (it overflows once NL >= 1024); where lower fell below the normal
-    floats and lost its digits, it comes from logs: 2^(NL + N f(j) log2 q).
+def _block_grid(q: np.ndarray, N: int, L: int):
+    """The sandwich of a (blocks, L) grid of left-step probabilities q, cell
+    [i, j - 1] being block i's walk at position j: the grids lower <= miss <= upper
+    and, per block, None or (j, error) for its first walk that fails as WalkLaw
+    would, its 1 - q outside (0, 1).  miss = (1 - reach)^N, one _first_passage
+    sum per cell at its displacement d = L + 1 - j, in rows by d, with p^d =
+    p^(d-1) * p as in _reach_sums.  lower = q^(N f(j)).  upper = min(1, 2^(NL) lower)
+    scales lower exactly, never forming the float 2^(NL) (it overflows once
+    NL >= 1024); where lower fell below the normal floats and lost its digits,
+    it comes from logs: 2^(NL + N f(j) log2 q).
     """
     if N < 1:
         raise OutOfRangeError(f"need N >= 1, got {N}")
@@ -171,15 +171,15 @@ def _block_grid(q: np.ndarray, sites: np.ndarray, N: int, L: int):
         float(N * L)
     except OverflowError as exc:
         raise OutOfRangeError("N*L is too large for float bounds") from exc
-    miss, step = np.empty(sites.shape), max(1, _DP_CELLS // L)
-    for first in range(0, q.size, step):
-        reach = _reach_sums(q[first:first + step], L)
-        piece = (first <= sites) & (sites < first + step)
-        for j in np.flatnonzero(piece.any(axis=0)).tolist():
-            miss[piece[:, j], j] = 1 - reach[L - 1 - j, sites[piece[:, j], j] - first]
-    lower, upper = np.empty(sites.shape), np.empty(sites.shape)
+    by_d = np.ascontiguousarray(q.T[::-1])
+    p = 1.0 - by_d
+    term = p.copy()
+    for d in range(1, L):
+        term[d:] *= p[d:]
+    miss = (1 - _first_passage(term, p * by_d))[::-1].T
+    lower, upper = np.empty(q.shape), np.empty(q.shape)
     for j in range(1, L + 1):
-        col, k = q[sites[:, j - 1]], N * f(j, L)
+        col, k = q[:, j - 1], N * f(j, L)
         low = np.array([x ** k for x in col.tolist()])
         with np.errstate(over="ignore", divide="ignore"):
             up = np.ldexp(low, min(N * L, _LDEXP_MAX))
@@ -189,36 +189,37 @@ def _block_grid(q: np.ndarray, sites: np.ndarray, N: int, L: int):
         lower[:, j - 1], upper[:, j - 1] = low, np.minimum(1.0, up)
         miss[:, j - 1] = [m ** N for m in miss[:, j - 1].tolist()]
     p = 1 - q
-    fails = [None] * len(sites)
-    for i, j in reversed(np.argwhere(~((0 < p) & (p < 1))[sites]).tolist()):
-        fails[i] = (j + 1, _p_right_error(p[sites[i, j]].item()))
+    fails = [None] * len(q)
+    for i, j in reversed(np.argwhere(~((0 < p) & (p < 1))).tolist()):
+        fails[i] = (j + 1, _p_right_error(p[i, j].item()))
     return lower, miss, upper, fails
 
 
 def check_blocks(blocks: int, L: int) -> None:
-    """Refuse a query of more than _DP_WORK_MAX blocks * L^3."""
+    """Refuse an empty block, or a query of more than _DP_WORK_MAX blocks * L^3."""
+    if L < 1:
+        raise OutOfRangeError(f"need L >= 1, got {L}")
     if blocks * L**3 > _DP_WORK_MAX:
         raise TooLargeError(
             f"{blocks} blocks at L={L}: blocks*L^3 = {blocks * L**3} exceeds {_DP_WORK_MAX}")
 
 
 def _blocks(spec: SequenceSpec, N: int, L: int, start: int, stop: int):
-    """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order:
-    the products, in position order, of a row of _block_grid.  Blocks go in
-    chunks of B, each one grid over the chunk's B + L - 1 sites (block n's walk
-    at position j starts from site n + j), so the chunk's q_i come from one
-    spec.values call.  A walk that fails raises when its block is reached: the
-    first error a block-by-block, position-by-position loop meets.  A query of
-    more than _DP_WORK_MAX blocks * L^3 is refused before any q is formed.
+    """Yield (lower, a_n, upper) for blocks n = start, ..., stop - 1, in order: the
+    position-order products of a row of _block_grid, one grid per _DP_CELLS // L
+    blocks, a window view of one spec.values call (block n's walk at position j
+    starts from site n + j).  A failing walk raises when its block is reached, the
+    first error a block-by-block, position-by-position loop meets.  An empty block,
+    or a query of more than _DP_WORK_MAX blocks * L^3, is refused before any q is formed.
     """
     if start < 0:
         raise OutOfRangeError(f"block index must be >= 0, got {start}")
     check_blocks(stop - start, L)
-    size = max(1, _DP_CELLS // (2 * max(L, 1)))
+    size = max(1, _DP_CELLS // L)
     for first in range(start, stop, size):
         B = min(stop, first + size) - first
-        q = spec.values(first + 1, first + B + L)
-        lo, miss, up, fails = _block_grid(q, np.add.outer(np.arange(B), np.arange(L)), N, L)
+        q = np.lib.stride_tricks.sliding_window_view(spec.values(first + 1, first + B + L), L)
+        lo, miss, up, fails = _block_grid(q, N, L)
         lower = a = upper = np.ones(B)
         for j in range(L):
             lower, a, upper = lower * lo[:, j], a * miss[:, j], upper * up[:, j]
@@ -234,7 +235,7 @@ def a_n(spec: SequenceSpec, N: int, L: int, n: int):
 
 
 def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.ndarray:
-    """a_n for blocks n in [start, stop), the first-passage sums of each site computed once."""
+    """a_n for blocks n in [start, stop), one first-passage sum per (block, position) walk."""
     return np.array([an for _, an, _ in _blocks(spec, N, L, start, stop)], dtype=np.float64)
 
 
@@ -257,11 +258,10 @@ def bound_reports(specs: list[SequenceSpec], N: int, L: int, n: int) -> list:
     """bound_check of block n for several specs, one grid row per spec: each spec's
     reports, or the error its bound_check raises (the first in position order).
     """
-    rows = [spec.values(n + 1, n + L + 1).tolist() for spec in specs]
-    sites = np.arange(len(rows) * L).reshape(len(rows), L)
-    lower, miss, upper, fails = _block_grid(np.array(rows, dtype=np.float64).ravel(), sites, N, L)
+    q = np.array([spec.values(n + 1, n + L + 1) for spec in specs]).reshape(len(specs), L)
+    lower, miss, upper, fails = _block_grid(q, N, L)
     outcomes = []
-    for row, *cells, fail in zip(rows, lower.tolist(), miss.tolist(), upper.tolist(), fails):
+    for row, *cells, fail in zip(q.tolist(), lower.tolist(), miss.tolist(), upper.tolist(), fails):
         stop, error = fail or (L + 1, None)
         reports = [BoundReport(j, *cell) for j, cell in enumerate(zip(row, *cells), 1)][:stop - 1]
         wrong = [rep for rep in reports if not _within(rep.lower, rep.prob, rep.upper)]

@@ -9,7 +9,7 @@ with max_{i <= h} (i + R_i) == h.
 
 The law of R_i is exact: P(R_i < d) = (1 - reach(q_i, L, d))^N
 (_miss_probs), where reach is the single-walk first-passage sum of the exact
-layer (exact._reach_sums), the same law its block quantities a_n read.  One
+layer (exact._first_passage), the same law its block quantities a_n read.  One
 uniform per (trial, site) then draws R_i by inverse CDF:
 R_i = #{d in 1..L : u >= P(R_i < d)}, compared as integers against
 T_{i,d} = ceil(P(R_i < d) * 2**53) with u's top 53 bits (_thresholds).

@@ -4,9 +4,12 @@ This is the scalar form of `frogz.exact`: the first-passage sums of one walk
 in pure Python, called once per (block, position), the 2^L enumeration of
 every path's probability, the position-by-position bound check and the
 block-by-block table loop.  The sums do the same float operations in the same
-order as `frogz.exact._reach_sums`, so the batched sums, the batched bound
-checks and tables in `frogz.exact` must give the same values bit for bit, and
-the same first error (type and message).  Given a `Fraction`, the sums are
+order as `frogz.exact._first_passage`, each p^d formed as p^(d-1) * p just as
+`_reach_sums` and the block grid form it, so the batched sums (every
+displacement of a walk in `_reach_sums`, one displacement per (block,
+position) cell in the grid), the batched bound checks and tables in
+`frogz.exact` must give the same values bit for bit, and the same first error
+(type and message).  Given a `Fraction`, the sums are
 exact.  The upper bound here is the plain `2 ** (N*L) * lower`, so keep
 N*L < 1024 when comparing against it.
 """

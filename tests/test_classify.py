@@ -14,6 +14,7 @@ from frogz.classify import (
     min_alignment_exponent,
     series_test,
     survival_threshold_N,
+    weakest_alignment,
 )
 from frogz.errors import InvalidSpecError, OutOfRangeError, TooLargeError
 from frogz.sequences import (
@@ -85,12 +86,12 @@ class TestSeriesTest:
         assert outcome(mod2_spec, 1, 3) is Outcome.SURVIVES_WPP
 
     def test_mod2_exponents(self, mod2_spec):
-        exps, best = min_alignment_exponent(mod2_spec, N=1, L=2)
+        exps = min_alignment_exponent(mod2_spec, N=1, L=2)
         # alignment r=0: positions 1, 2 hit classes 1 (log), 0 (power, alpha=1)
         by_res = {e.residue: e for e in exps}
         assert by_res[0].power_exp == pytest.approx(1.0)
         assert by_res[0].log_exp == 1
-        assert best.diverges
+        assert weakest_alignment(exps).diverges
 
     def test_edge_divergence_convention(self):
         assert SeriesExponent(0, 1.0, 1).diverges
@@ -117,7 +118,7 @@ class TestSeriesTest:
     def test_work_limit(self, mod2_spec, monkeypatch):
         import frogz.classify as classify_mod
         monkeypatch.setattr(classify_mod, "ALIGNMENT_WORK_MAX", 2 * 7)
-        exps, _ = min_alignment_exponent(mod2_spec, 1, 7)  # modulus * L at the limit runs
+        exps = min_alignment_exponent(mod2_spec, 1, 7)  # modulus * L at the limit runs
         assert len(exps) == 2
         with pytest.raises(TooLargeError):
             min_alignment_exponent(mod2_spec, 1, 8)

@@ -786,42 +786,36 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["failures"] == []
 
     @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.3, 0.5, 0.7, 0.9]])
-    def test_sandwich_grid_sums_each_site_once(self, config_file, monkeypatch, q_grid):
-        # per (N, L), one grid row of L sites per q: the first-passage sums of the
-        # len(q_grid) * L sites are evaluated once, in pieces of _DP_CELLS // L sites
+    def test_sandwich_grid_evaluates_each_cell_once(self, config_file, monkeypatch, q_grid):
+        # per (N, L), one grid of L rows (displacements) by one column per q:
+        # its len(q_grid) * L walks are evaluated once, in one first-passage call,
+        # after the reach checks' one (empty, as p_grid is) table per L
         import frogz.exact as exact_mod
-        sums, calls = exact_mod._reach_sums, []
+        sums, calls = exact_mod._first_passage, []
 
-        def counting(q, L):
-            calls.append((q.tolist(), L))
-            return sums(q, L)
+        def counting(term, pq):
+            calls.append(pq.tolist())
+            return sums(term, pq)
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", counting)
+        monkeypatch.setattr(exact_mod, "_first_passage", counting)
         cfg = config_file({"l_max": 4, "p_grid": [], "q_grid": q_grid, "N_grid": [1, 2, 3]})
-        for cells in (exact_mod._DP_CELLS, 8):
-            monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
-            calls.clear()
-            assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
-            want = []
-            for N in (1, 2, 3):
-                for L in range(1, 5):
-                    sites = [q for q in q_grid for _ in range(L)]
-                    step = cells // L
-                    want += [(sites[i:i + step], L) for i in range(0, len(sites), step)]
-            assert calls == want, cells
+        assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
+        want = [[[]] * L for L in range(1, 5)]
+        want += [[[(1 - q) * q for q in q_grid]] * L for N in (1, 2, 3) for L in range(1, 5)]
+        assert calls == want
 
     def test_violations_in_q_N_L_order(self, config_file, tmp_path, capsys, monkeypatch):
         import frogz.exact as exact_mod
         from frogz.exact import BoundReport
-        sums = exact_mod._reach_sums
+        sums = exact_mod._first_passage
 
-        def too_likely(q, L):
+        def too_likely(term, pq):
             # the walks of q = 0.7 and q = 0.3 miss with probability 2, so N walks 2^N
-            reach = sums(q, L)
-            reach[:, (q == 0.7) | (q == 0.3)] = -1.0
+            reach = sums(term, pq)
+            reach[np.isin(pq, ((1 - 0.7) * 0.7, (1 - 0.3) * 0.3))] = -1.0
             return reach
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
+        monkeypatch.setattr(exact_mod, "_first_passage", too_likely)
         cfg = config_file({"l_max": 3, "p_grid": [], "q_grid": [0.7, 0.1, 0.3, 0.9],
                            "N_grid": [1, 2]})
         out = tmp_path / "verify.json"

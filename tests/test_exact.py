@@ -119,10 +119,10 @@ class TestSandwich:
             assert rep.prob <= rep.upper * (1 + 1e-12)
 
     def test_violation_raises(self, monkeypatch):
-        def too_likely(q, L):
-            return np.full((L, q.size), -1.0)  # every walk misses with probability 2
+        def too_likely(term, pq):
+            return np.full(term.shape, -1.0)  # every walk misses with probability 2
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
+        monkeypatch.setattr(exact_mod, "_first_passage", too_likely)
         with pytest.raises(BoundViolationError):
             bound_check(single(ConstantForm(q=0.5)), 1, 2, 0)
 
@@ -331,24 +331,27 @@ class TestBatchedTable:
     @pytest.mark.parametrize("index, j, error", [
         (2, 2, OutOfRangeError),  # same walk: its failure stops the table before the check
         (3, 1, OutOfRangeError),  # a later block
+        (1, 2, BoundViolationError),  # an earlier block: the injection is what fails
     ])
     def test_first_failure_in_block_position_order(self, monkeypatch, index, j, error):
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not): with L=2,
         # site 4 fails first at n=2, j=2; a sandwich violation is injected at
-        # block `index`, position j, whose walk starts at site index + j and
-        # reads the row of displacement L + 1 - j
+        # block `index`, position j: the grid's rows go by displacement
+        # d = L + 1 - j and its columns by block, all six blocks in one chunk
         spec = _steep(30)
         L = 2
-        sums = exact_mod._reach_sums
+        sums, injected = exact_mod._first_passage, []
 
-        def too_likely(q, steps):
-            reach = sums(q, steps)
-            reach[L - j, q == spec.value(index + j)] = -1.0
+        def too_likely(term, pq):
+            reach = sums(term, pq)
+            reach[L - j, index] = -1.0
+            injected.append(term.shape)
             return reach
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
+        monkeypatch.setattr(exact_mod, "_first_passage", too_likely)
         with pytest.raises(error):
             build_reach_table(spec, 1, L, 5)
+        assert injected == [(L, 6)]
 
     def test_partial_product_matches_oracle(self, mod2_spec):
         want = 1.0
@@ -365,9 +368,8 @@ class TestBatchedTable:
 
 
 class TestChunkSeams:
-    # a small _DP_CELLS puts _DP_CELLS // (2L) blocks in a chunk and evaluates
-    # the sums _DP_CELLS // L sites at a time, so these queries cross chunks
-    # and pieces that the default sizes would hold in one
+    # a small _DP_CELLS puts _DP_CELLS // L blocks in a chunk, so these queries
+    # cross chunks that the default size would hold in one
     @given(spec=specs(), N=st.integers(1, 3), L=st.integers(1, 10), n_max=st.integers(0, 40))
     @settings(max_examples=100, deadline=None)
     def test_table_matches_oracle(self, spec, N, L, n_max):
@@ -387,40 +389,60 @@ class TestChunkSeams:
 
     @pytest.mark.parametrize("L, cells", [(1, 2), (1, 4), (2, 8)])
     def test_first_failure_in_a_later_chunk(self, monkeypatch, L, cells):
-        # 1 - q_4 rounds to 1, so block 4 - L fails first; a chunk holds
-        # cells // (2L) <= 4 - L blocks, so that block lies in a later chunk
-        spec = _steep(30)
-        assert cells // (2 * L) <= 4 - L
+        # q_7 = 1e-20 makes 1 - q_7 round to 1 (q_1 = ... = q_6 = 0.5), so block
+        # 7 - L fails first; a chunk holds cells // L <= 7 - L blocks, so that
+        # block lies in a later chunk
+        spec = SequenceSpec(modulus=8, residue_forms=tuple(
+            ConstantForm(q=1e-20 if r == 7 else 0.5) for r in range(8)))
+        fail = next(i for i in range(1, 9) if 1 - spec.value(i) == 1)
+        assert fail == 7 and cells // L <= fail - L
         monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
         got = outcome(build_reach_table, spec, 1, L, 10)
         assert got == outcome(oracle.reach_table_rows, spec, 1, L, 10)
         assert got[1].startswith("p_right must be in (0,1)")
-        for start in range(4 - L + 1):
+        for start in range(fail - L + 1):
             got = outcome(lambda: a_n_array(spec, 1, L, start, 10).tolist())
             assert got == outcome(lambda: [oracle.a_n(spec, 1, L, n) for n in range(start, 10)])
-        assert a_n_array(spec, 1, L, 0, 4 - L).tolist() == [
-            oracle.a_n(spec, 1, L, n) for n in range(4 - L)]
+        assert a_n_array(spec, 1, L, 0, fail - L).tolist() == [
+            oracle.a_n(spec, 1, L, n) for n in range(fail - L)]
 
     @pytest.mark.parametrize("L, cells", [(1, 64), (3, 64), (10, 64), (16, 1 << 14)])
-    def test_each_chunk_sums_its_sites_once(self, monkeypatch, L, cells):
-        # chunk by chunk, the B + L - 1 sites n + 1, ..., n + B + L - 1 of its
-        # blocks go to _reach_sums once each, in order
+    def test_each_chunk_evaluates_its_cells_once(self, monkeypatch, L, cells):
+        # chunk by chunk, the B * L cells of its blocks go to _first_passage
+        # once each, in rows of displacement d = L + 1 - j and columns in block
+        # order: block n's walk at position j starts from site n + j
         spec = single(PowerLaw(c=0.5, alpha=1, offset=1))
-        sums, seen = exact_mod._reach_sums, []
+        sums, seen = exact_mod._first_passage, []
 
-        def counting(q, steps):
-            seen.extend(q.tolist())
-            return sums(q, steps)
+        def counting(term, pq):
+            seen.append(pq.tolist())
+            return sums(term, pq)
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", counting)
+        monkeypatch.setattr(exact_mod, "_first_passage", counting)
         monkeypatch.setattr(exact_mod, "_DP_CELLS", cells)
-        start, stop, size = 5, 60, cells // (2 * L)
+        start, stop, size = 5, 60, cells // L
         a_n_array(spec, 1, L, start, stop)
         want = []
         for first in range(start, stop, size):
             B = min(stop, first + size) - first
-            want += [spec.value(i) for i in range(first + 1, first + B + L)]
+            sites = [[spec.value(n + L + 1 - d) for n in range(first, first + B)]
+                     for d in range(1, L + 1)]
+            want.append([[(1 - q) * q for q in row] for row in sites])
         assert seen == want
+
+    def test_largest_query_sums_one_row_per_cell(self, monkeypatch):
+        # 4 blocks at L = 1000, the guard's limit, sum 4 * 1000 walks: one per
+        # (block, position) cell, each at its own displacement only
+        spec = single(PowerLaw(c=0.5, alpha=0.5, offset=1))
+        sums, cells = exact_mod._first_passage, []
+
+        def counting(term, pq):
+            cells.append(term.size)
+            return sums(term, pq)
+
+        monkeypatch.setattr(exact_mod, "_first_passage", counting)
+        a_n_array(spec, 1, 1000, 0, 4)
+        assert sum(cells) == 4 * 1000
 
 
 class TestBatchedBoundCheck:
@@ -450,15 +472,16 @@ class TestBatchedBoundCheck:
         # q_4 = 0.5 * 4^-30 makes 1 - q_4 round to 1 (q_3 does not)
         spec = _steep(30)
         L = 2
-        sums = exact_mod._reach_sums
+        sums = exact_mod._first_passage
 
-        def too_likely(q, steps):
-            reach = sums(q, steps)
+        def too_likely(term, pq):
+            # the grid's row L - j holds the walks at position j of every block
+            reach = sums(term, pq)
             if violate_j is not None:
                 reach[L - violate_j] = -1.0
             return reach
 
-        monkeypatch.setattr(exact_mod, "_reach_sums", too_likely)
+        monkeypatch.setattr(exact_mod, "_first_passage", too_likely)
         with pytest.raises(error):
             bound_check(spec, 1, L, 2)
         outcomes = exact_mod.bound_reports([single(ConstantForm(q=0.5)), spec], 1, L, 2)
