@@ -58,14 +58,6 @@ class PowerLaw(_Form):
         if not math.isfinite(1.0 / self.alpha):
             # m = floor(1/alpha) + 1 needs a finite 1/alpha
             raise InvalidSpecError(f"power-law alpha {self.alpha} is too small: 1/alpha overflows")
-        if self.value(1) >= 1.0:
-            raise InvalidSpecError(
-                f"power-law form hits {self.value(1)} >= 1 at counter 1; "
-                "increase offset or lower c"
-            )
-
-    def value(self, s):
-        return self.c * (s + self.offset) ** (-self.alpha)
 
     def value_array(self, s: np.ndarray) -> np.ndarray:
         return self.c * (s.astype(np.float64) + self.offset) ** (-self.alpha)
@@ -86,16 +78,8 @@ class LogInverse(_Form):
     kind = "loginv"
 
     def check(self) -> None:
-        if not (self.c > 0 and self.offset >= 2):
+        if not (self.c > 0 and self.offset >= 2 and int(self.offset) == self.offset):
             raise InvalidSpecError(f"bad log-inverse parameters: {self}")
-        if self.value(1) >= 1.0:
-            raise InvalidSpecError(
-                f"log-inverse form hits {self.value(1)} >= 1 at counter 1; "
-                "increase offset or lower c"
-            )
-
-    def value(self, s):
-        return self.c / math.log(s + self.offset)
 
     def value_array(self, s: np.ndarray) -> np.ndarray:
         return self.c / np.log(s.astype(np.float64) + self.offset)
@@ -113,14 +97,22 @@ class ConstantForm(_Form):
         if not (0.0 < self.q < 1.0):
             raise InvalidSpecError(f"constant form must lie in (0,1), got {self.q}")
 
-    def value(self, s):
-        return self.q
-
     def value_array(self, s: np.ndarray) -> np.ndarray:
         return np.full(s.shape, self.q, dtype=np.float64)
 
 
 PrimitiveForm = Union[PowerLaw, LogInverse, ConstantForm]
+
+
+def _check_range(form, what: str, first: int, last: int, labels: tuple[str, str]) -> None:
+    """Refuse `form` unless it lies in (0, 1) at counters first .. last: forms do not increase."""
+    # float64, as value_array converts counters anyway: an override's j0 may pass 2**63
+    with np.errstate(divide="ignore"):  # a power law's pole at j0 = 0 is inf
+        high, low = form.value_array(np.array([first, last], dtype=np.float64))
+    if not high < 1.0:
+        raise InvalidSpecError(f"{what} hits {high} >= 1 at {labels[0]}")
+    if not low > 0.0:
+        raise InvalidSpecError(f"{what} underflows to 0.0 at {labels[1]}")
 
 
 def config_number(key: str, value, kind=int):
@@ -172,20 +164,13 @@ class SparseOverride:
     j0: int = 1
 
     def check(self) -> None:
-        if not (self.a >= 1 and self.b >= 2 and self.j0 >= 0):
+        params = (self.a, self.b, self.j0)
+        if not (self.a >= 1 and self.b >= 2 and self.j0 >= 0 and all(int(x) == x for x in params)):
             raise InvalidSpecError(f"bad override family: a={self.a}, b={self.b}, j0={self.j0}")
         self.form.check()
-        # the family's first value is its largest and its last below 2**63 its
-        # smallest: forms do not increase
-        try:
-            v = self.form.value(self.j0)
-        except ArithmeticError as exc:  # a pole at j0 = 0, or j0 too large for a float
-            raise InvalidSpecError(f"override form undefined at j0={self.j0}") from exc
-        if not (0.0 < v < 1.0):
-            raise InvalidSpecError(f"override form value {v} at j0={self.j0} outside (0,1)")
-        for j, _ in self.indices_upto(2**63)[-1:]:
-            if not self.form.value(j) > 0.0:
-                raise InvalidSpecError(f"override form underflows to 0.0 at j={j}")
+        # from j0 to the last j below 2**63 (j0 itself when there is none)
+        j = max((j for j, _ in self.indices_upto(2**63)), default=self.j0)
+        _check_range(self.form, "override form", self.j0, j, (f"j0={self.j0}", f"j={j}"))
 
     def indices_upto(self, stop: int) -> list[tuple[int, int]]:
         """All (j, n) with n = a*b^j < stop, j >= j0, in increasing n."""
@@ -203,8 +188,8 @@ class SparseOverride:
         return {"a": self.a, "b": self.b, "j0": self.j0, "form": self.form.to_dict()}
 
 
-def _occurrence_counter(n, r, k: int):
-    """1-based rank of index n among indices >= 1 with residue r mod k; n, r int64 arrays."""
+def _occurrence_counter(n: int, r: int, k: int) -> int:
+    """How many indices in 1 .. n have residue r mod k (n's counter if n = r mod k); ints."""
     return (n - r) // k + (r != 0)
 
 
@@ -227,10 +212,9 @@ class SequenceSpec:
         try:
             for r, form in enumerate(self.residue_forms):
                 form.check()
-                # a form is smallest at its residue's last index below 2**63
+                # from counter 1 to the counter of the residue's last index below 2**63
                 s = _occurrence_counter(2**63 - 1, r, k)
-                if not form.value_array(np.array([s]))[0] > 0.0:
-                    raise InvalidSpecError(f"residue {r} form underflows to 0.0 at counter {s}")
+                _check_range(form, f"residue {r} form", 1, s, ("counter 1", f"counter {s}"))
             for ov in self.overrides:
                 ov.check()
             self._check_override_disjointness()
@@ -264,21 +248,21 @@ class SequenceSpec:
         """q_n for n in [start, stop), vectorized; overrides take precedence over residue forms."""
         if start < 1:
             raise OutOfRangeError(f"sequence index must be >= 1, got {start}")
-        if stop > 2 ** 63:              # int64 indices: np.arange would wrap past 2**63 - 1
+        if stop > 2 ** 63:              # int64 indices and counters would wrap past 2**63 - 1
             raise OverflowError(f"sequence indices must stay below 2**63, got stop {stop}")
-        n = np.arange(start, stop, dtype=np.int64)
-        out = np.empty(n.shape, dtype=np.float64)
+        out = np.empty(max(stop - start, 0), dtype=np.float64)
         k = self.modulus
-        r = n % k
-        s = _occurrence_counter(n, r, k)
-        for res in range(k):
-            mask = r == res
-            if mask.any():
-                out[mask] = self.residue_forms[res].value_array(s[mask])
+        for r, form in enumerate(self.residue_forms):
+            first = start + (r - start) % k  # the first index >= start with residue r
+            if first < stop:  # the class's indices from `first` on have consecutive counters
+                s = _occurrence_counter(first, r, k)
+                out[first - start::k] = form.value_array(
+                    np.arange(s, s + len(range(first, stop, k)), dtype=np.int64))
         for ov in self.overrides:
-            for j, idx in ov.indices_upto(stop):
-                if idx >= start:
-                    out[idx - start] = ov.form.value(j)
+            family = [(j, n - start) for j, n in ov.indices_upto(stop) if n >= start]
+            if family:
+                j, at = np.array(family, dtype=np.int64).T
+                out[at] = ov.form.value_array(j)
         return out
 
     # -- serialization ------------------------------------------------------

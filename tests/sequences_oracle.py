@@ -3,8 +3,9 @@
 `value` reads q_n from the definition: the occurrence counter is the rank of
 n among the indices 1..n with its residue, and n belongs to an override
 family when dividing n / a by b repeatedly reaches 1 after j >= j0 steps.
-Forms are evaluated as `SequenceSpec.values` evaluates them: a residue form
-by its numpy `value_array`, an override form by its scalar `value`.
+Forms are evaluated as `SequenceSpec.values` evaluates them, by their one
+evaluator `value_array` on an int64 array: a residue form at the occurrence
+counter, an override form at j.
 `is_in_D1` here builds the whole prefix q_1 .. q_{H+1} in one `values` call
 and compares every adjacent pair; `L0_L1` enumerates all 2^k residue subsets
 of the finite-index classes.  The windowed scan and the threshold sweep in
@@ -39,11 +40,10 @@ def value(spec: SequenceSpec, n: int) -> float:
     for ov in spec.overrides:
         j = override_exponent(ov, n)
         if j is not None:
-            return ov.form.value(j)
+            return ov.form.value_array(np.array([j], dtype=np.int64)).item()
     k = spec.modulus
     r = n % k
-    # the indices 1..n with residue r are r, r + k, ..., or k, 2k, ... for r = 0;
-    # the form is evaluated as `values` evaluates it, on an int64 array
+    # the indices 1..n with residue r are r, r + k, ..., or k, 2k, ... for r = 0
     s = np.array([len(range(r or k, n + 1, k))], dtype=np.int64)
     return spec.residue_forms[r].value_array(s).item()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -29,6 +30,20 @@ from frogz.sequences import (
 )
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of the little-endian float64 bytes of values(1, 20001) and of
+# values(2**62, 2**62 + 100) for each shipped config
+_VALUES_SHA256 = {
+    "dyadic_override": ("97bbb35d731da6fdc67e4046e7eb2c2f6f265e93c92c2fa8664ec9c37696144b",
+                         "0e3d74dd7cd5712e8d48ec490b36749fb7f82456b1ce2d9a63b0a1bae13388f7"),
+    "inv_square": ("8dc4b09ffdbfe53802915e290805229380a329faf5ce58112f6fc0741d11845e",
+                    "fa8eca96c88b7983fe1bad38ca7659adf1f6a03cbad6e442778b46b5fd639f84"),
+    "log_decay": ("4cdffc6e4e1d57b9cffcf908cdc056a72edf9f01cfe6b9c4c8a08a2505569ad8",
+                   "42b5a695aa22493d4f59c4951ba8cb3890457ab41a8affaecea2ec925b6fb2bd"),
+    "mod2_interleave": ("afab0160051462f15f08dafbc9cd420831f8bcc09d8598b2080175770f702948",
+                         "168185a6a2a1e1444f831bd4652000402026713c6e301785b32463e5daf06de4"),
+    "sqrt_decay": ("eb33cf67d09c704e673fad6534f0f8ec86d4f85dd8a0206bc41c2368121fbe86",
+                    "f1388848bd60cc49d690d2e1eaa25922a9c0e85b0eb8d622c4e09ef15fd453d5"),
+}
 
 
 class TestEval:
@@ -77,6 +92,14 @@ class TestEval:
             scalar = [spec.value(n) for n in range(1, 20001)]
             assert all(type(q) is float for q in scalar)
             assert np.array_equal(np.array(scalar), spec.values(1, 20001))
+
+    @pytest.mark.parametrize("name", sorted(_VALUES_SHA256))
+    def test_values_pinned_bit_for_bit(self, name):
+        # q as the shipped configs read it, to the last bit, near 1 and near 2**63
+        spec = SequenceSpec.from_dict(json.loads((_CONFIGS / f"{name}.json").read_text())["spec"])
+        digests = tuple(hashlib.sha256(spec.values(a, b).astype("<f8").tobytes()).hexdigest()
+                        for a, b in ((1, 20001), (2**62, 2**62 + 100)))
+        assert digests == _VALUES_SHA256[name]
 
     @given(data=st.data(), k=st.integers(1, 7), a=st.integers(1, 50), b=st.integers(2, 10),
            j0=st.integers(0, 3))
@@ -154,7 +177,8 @@ class TestValidity:
     def test_underflow_past_the_prefix_scan_rejected(self):
         # 1e-320 / n is 0.0 from n = 4048, past the 1000-index prefix scan
         form = PowerLaw(c=1e-320, alpha=1)
-        assert form.value_array(np.array([4047, 4048])).tolist()[1] == 0.0 < form.value(4047)
+        positive, zero = form.value_array(np.array([4047, 4048])).tolist()
+        assert zero == 0.0 < positive
         with pytest.raises(InvalidSpecError, match="underflows to 0.0"):
             single(form)
         with pytest.raises(InvalidSpecError, match="underflows to 0.0"):
@@ -184,13 +208,42 @@ class TestValidity:
                          overrides=(SparseOverride(a=1, b=2, form=form),))
         short = SparseOverride(a=2**60, b=2, form=form)
         spec = SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),), overrides=(short,))
-        assert spec.value(2**62) == form.value(2) > 0.0
+        assert spec.value(2**62) == form.value_array(np.array([2])).item() > 0.0
 
     def test_override_valid_from_j0_accepted(self):
         ov = SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1, offset=3))
         spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
                             overrides=(ov,))
-        assert spec.value(5000) == ov.form.value(0)
+        assert spec.value(5000) == ov.form.value_array(np.array([0])).item()
+
+    def test_override_family_valid_only_from_j0_accepted(self):
+        # both forms are >= 1 at counter 1 (2 and 1.5 / log 3) and below 1 from
+        # j = 3 on: a family is checked from its own j0, not from counter 1
+        families = (SparseOverride(a=1, b=2, j0=3, form=PowerLaw(c=2, alpha=1)),
+                    SparseOverride(a=3, b=2, j0=3, form=LogInverse(c=1.5)))
+        spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
+                            overrides=families)
+        head = spec.values(1, 20001)
+        for ov in families:
+            j, n = np.array(ov.indices_upto(2**63), dtype=np.int64).T
+            assert j[0] == 3
+            assert np.array_equal([spec.value(int(i)) for i in n], ov.form.value_array(j))
+            assert np.array_equal(head[n[n <= 20000] - 1], ov.form.value_array(j[n <= 20000]))
+
+    def test_loginv_fractional_offset_rejected(self):
+        # used to pass, and the to_dict that simulate writes was then refused by from_dict
+        with pytest.raises(InvalidSpecError, match="bad log-inverse parameters"):
+            single(LogInverse(c=0.5, offset=2.5))
+
+    @pytest.mark.parametrize("name", ["a", "b", "j0"])
+    def test_override_fractional_parameter_rejected(self, name):
+        # a = 1.5, b = 2.5 or j0 = 1.5 used to escape from values as an IndexError
+        params = {"a": 1, "b": 2, "j0": 1}
+        params[name] += 0.5
+        family = SparseOverride(form=ConstantForm(q=0.5), **params)
+        with pytest.raises(InvalidSpecError, match="bad override family"):
+            SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
+                         overrides=(family,))
 
 
 class TestSummability:
