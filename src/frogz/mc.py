@@ -368,8 +368,9 @@ def run_trials(cfg: SimConfig) -> np.ndarray:
 
 def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     """One trial: (max activated site capped at M, the activated site set)."""
-    if M <= params.L:
-        raise OutOfRangeError(f"horizon must exceed L, got {M}")
+    SimConfig(params, horizon=M, trials=1, seed=seed)   # its horizon and seed rules
+    if not 0 <= trial < 2 ** 64:
+        raise OutOfRangeError(f"trial must be in [0, 2**64), got {trial}")
     S = M + params.L
     thresholds = _block_thresholds(params.spec, params.N, params.L, S)
     h = int(_frontiers(thresholds, S, seed, trial, trial + 1)[0])

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
+from itertools import takewhile
 from typing import Union
 
 import numpy as np
@@ -21,6 +23,9 @@ import numpy as np
 from .errors import InvalidSpecError, MalformedConfigError, OutOfRangeError
 
 INF = math.inf
+
+# the DSL's index domain is [1, INDEX_END): int64 indices and counters
+INDEX_END = 2**63
 
 # numeric scan horizon for monotonicity checks (fixed, reproducible)
 MONOTONE_SCAN_HORIZON = 10**6
@@ -152,10 +157,10 @@ def form_from_dict(d: dict) -> PrimitiveForm:
 
 @dataclass(frozen=True)
 class SparseOverride:
-    """Values on the geometric index family {n = a * b^j : j >= j0}.
+    """Values on the geometric index family {n = a * b^j : j >= j0} in [1, INDEX_END).
 
-    b >= 2 forces unbounded gaps between consecutive override indices, so an
-    override family on its own always has l = infinity.
+    b >= 2 forces unbounded gaps between consecutive override indices, so a
+    family alone has l = infinity.  A spec refuses families that share an index.
     """
 
     a: int
@@ -168,21 +173,16 @@ class SparseOverride:
         if not (self.a >= 1 and self.b >= 2 and self.j0 >= 0 and all(int(x) == x for x in params)):
             raise InvalidSpecError(f"bad override family: a={self.a}, b={self.b}, j0={self.j0}")
         self.form.check()
-        # from j0 to the last j below 2**63 (j0 itself when there is none)
-        j = max((j for j, _ in self.indices_upto(2**63)), default=self.j0)
+        j = self.j0 + max(len(self.indices) - 1, 0)  # the last j in the domain, else j0
         _check_range(self.form, "override form", self.j0, j, (f"j0={self.j0}", f"j={j}"))
 
-    def indices_upto(self, stop: int) -> list[tuple[int, int]]:
-        """All (j, n) with n = a*b^j < stop, j >= j0, in increasing n."""
-        out = []
-        j = self.j0
-        if j >= stop.bit_length():
-            return out  # a * b^j >= 2^j >= stop, and b^j0 may be too big to form
-        n = self.a * self.b**j
-        while n < stop:
-            out.append((j, n))
-            j, n = j + 1, n * self.b
-        return out
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """Every n = a*b^j < INDEX_END with j >= j0, increasing: the i-th has j = j0 + i."""
+        # n >= 2^j: no j past log2(INDEX_END) is tried, where b^j may be too large to form
+        js = range(int(self.j0), INDEX_END.bit_length())
+        family = (int(self.a) * int(self.b) ** j for j in js)
+        return tuple(takewhile(lambda n: n < INDEX_END, family))
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "j0": self.j0, "form": self.form.to_dict()}
@@ -212,8 +212,8 @@ class SequenceSpec:
         try:
             for r, form in enumerate(self.residue_forms):
                 form.check()
-                # from counter 1 to the counter of the residue's last index below 2**63
-                s = _occurrence_counter(2**63 - 1, r, k)
+                # from counter 1 to the counter of the residue's last index in the domain
+                s = _occurrence_counter(INDEX_END - 1, r, k)
                 _check_range(form, f"residue {r} form", 1, s, ("counter 1", f"counter {s}"))
             for ov in self.overrides:
                 ov.check()
@@ -231,11 +231,9 @@ class SequenceSpec:
     def _check_override_disjointness(self):
         seen: dict[int, int] = {}
         for i, ov in enumerate(self.overrides):
-            for _, n in ov.indices_upto(10**15):
+            for n in ov.indices:
                 if n in seen:
-                    raise InvalidSpecError(
-                        f"override families {seen[n]} and {i} both cover index {n}"
-                    )
+                    raise InvalidSpecError(f"override families {seen[n]} and {i} both cover index {n}")
                 seen[n] = i
 
     # -- evaluation ---------------------------------------------------------
@@ -248,7 +246,7 @@ class SequenceSpec:
         """q_n for n in [start, stop), vectorized; overrides take precedence over residue forms."""
         if start < 1:
             raise OutOfRangeError(f"sequence index must be >= 1, got {start}")
-        if stop > 2 ** 63:              # int64 indices and counters would wrap past 2**63 - 1
+        if stop > INDEX_END:            # int64 indices and counters would wrap past 2**63 - 1
             raise OverflowError(f"sequence indices must stay below 2**63, got stop {stop}")
         out = np.empty(max(stop - start, 0), dtype=np.float64)
         k = self.modulus
@@ -259,10 +257,10 @@ class SequenceSpec:
                 out[first - start::k] = form.value_array(
                     np.arange(s, s + len(range(first, stop, k)), dtype=np.int64))
         for ov in self.overrides:
-            family = [(j, n - start) for j, n in ov.indices_upto(stop) if n >= start]
-            if family:
-                j, at = np.array(family, dtype=np.int64).T
-                out[at] = ov.form.value_array(j)
+            lo, hi = bisect_left(ov.indices, start), bisect_left(ov.indices, stop)
+            if lo < hi:
+                out[[n - start for n in ov.indices[lo:hi]]] = ov.form.value_array(
+                    np.arange(ov.j0 + lo, ov.j0 + hi, dtype=np.int64))
         return out
 
     # -- serialization ------------------------------------------------------

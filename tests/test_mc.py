@@ -168,6 +168,13 @@ class TestDeterminism:
             assert h == batch[t]
             assert active == frozenset(range(1, max(active) + 1))
 
+    @pytest.mark.parametrize("trial, seed", [(0, -1), (0, 2**64), (-1, 0), (2**64, 0)],
+                             ids=["seed_negative", "seed_2_64", "trial_negative", "trial_2_64"])
+    def test_single_trial_out_of_range_refused(self, const_spec, trial, seed):
+        # these used to escape from numpy as an OverflowError
+        with pytest.raises(OutOfRangeError, match=r"must be in \[0, 2\*\*64\)"):
+            simulate_trial(ProcessParams(N=1, L=2, spec=const_spec), 10, trial, seed)
+
 
 def _array_thresholds(qs, N, L):
     """_frontiers' thresholds(lo, hi) read from one table over all the per-site q."""

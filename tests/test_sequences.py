@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -152,6 +153,52 @@ class TestValidity:
                 ),
             )
 
+    @pytest.mark.parametrize("a, b, j0, index", [
+        # first meets {2, 4, ..., 2**62} at 2**55, past the 10**15 where the check
+        # used to stop: the second family's 0.2 then won there silently
+        (2**55, 2, 0, 2**55),
+        # {2**62, 3 * 2**62, ...} meets it only at 2**62
+        (2**62, 3, 0, 2**62),
+    ], ids=["past_10_to_15", "only_at_2_62"])
+    def test_overlap_anywhere_in_the_domain_rejected(self, a, b, j0, index):
+        with pytest.raises(InvalidSpecError, match=f"families 0 and 1 both cover index {index}$"):
+            SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),), overrides=(
+                SparseOverride(a=1, b=2, j0=1, form=ConstantForm(q=0.1)),
+                SparseOverride(a=a, b=b, j0=j0, form=ConstantForm(q=0.2))))
+
+    def test_family_past_the_domain_overrides_nothing(self):
+        # a * b^63 >= 2**63: the family is accepted and has no index to override
+        ov = SparseOverride(a=1, b=2, j0=63, form=ConstantForm(q=0.1))
+        spec = SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),), overrides=(ov,))
+        assert ov.indices == ()
+        assert np.all(spec.values(1, 5001) == 0.5)
+        assert spec.value(2**62) == spec.value(2**63 - 1) == 0.5
+
+    @given(a=st.integers(1, 2**64), b=st.integers(2, 2**40), j0=st.integers(0, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_override_indices_are_the_family_in_the_domain(self, a, b, j0):
+        brute, j = [], j0
+        while a * b**j < 2**63:
+            brute.append(a * b**j)
+            j += 1
+        assert SparseOverride(a=a, b=b, j0=j0, form=ConstantForm(q=0.5)).indices == tuple(brute)
+
+    @given(families=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 1),
+                                       st.sampled_from([2, 3, 4, 6, 8, 12, 16, 32]),
+                                       st.integers(0, 3)), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_override_families_refused_exactly_when_they_meet(self, families):
+        # a = 2^x 3^y with bases built from 2 and 3: about one pair in six meets,
+        # two in five of those first past 10**15
+        overrides = tuple(SparseOverride(a=2**x * 3**y, b=b, j0=j0, form=ConstantForm(q=0.1))
+                          for x, y, b, j0 in families)
+        first, second = ({ov.a * ov.b**j for j in range(ov.j0, 64) if ov.a * ov.b**j < 2**63}
+                         for ov in overrides)
+        shared = first & second
+        with (pytest.raises(InvalidSpecError, match=f"both cover index {min(shared)}$")
+              if shared else contextlib.nullcontext()):
+            SequenceSpec(modulus=1, residue_forms=(ConstantForm(q=0.5),), overrides=overrides)
+
     def test_bad_override_parameters(self):
         with pytest.raises(InvalidSpecError):
             SparseOverride(a=1, b=1, form=ConstantForm(q=0.5)).check()
@@ -214,6 +261,7 @@ class TestValidity:
         ov = SparseOverride(a=5000, b=2, j0=0, form=LogInverse(c=1, offset=3))
         spec = SequenceSpec(modulus=1, residue_forms=(PowerLaw(c=1, alpha=1, offset=1),),
                             overrides=(ov,))
+        assert ov.indices[:2] == (5000, 10000)
         assert spec.value(5000) == ov.form.value_array(np.array([0])).item()
 
     def test_override_family_valid_only_from_j0_accepted(self):
@@ -225,7 +273,8 @@ class TestValidity:
                             overrides=families)
         head = spec.values(1, 20001)
         for ov in families:
-            j, n = np.array(ov.indices_upto(2**63), dtype=np.int64).T
+            n = np.array(ov.indices, dtype=np.int64)
+            j = np.arange(ov.j0, ov.j0 + len(n))
             assert j[0] == 3
             assert np.array_equal([spec.value(int(i)) for i in n], ov.form.value_array(j))
             assert np.array_equal(head[n[n <= 20000] - 1], ov.form.value_array(j[n <= 20000]))
