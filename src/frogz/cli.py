@@ -1,8 +1,9 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
 Configs are JSON, outputs are CSV/JSONL; only `main` reads --config and writes
---out and --store.  Exit codes: 0 success, 1 malformed config or a file that
-cannot be opened, 2 invalid spec or guard refusal, 4 verification violation.
+--out and --store.  Exit codes: 0 success, 1 malformed config, a file that
+cannot be opened or a closed stdout, 2 invalid spec or guard refusal, 4
+verification violation.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -247,7 +250,9 @@ def main(argv=None) -> int:
             # both files open before either is written: one that cannot be opened leaves neither
             store = args.store and files.enter_context(open(args.store, "a", encoding="utf-8"))
             out = args.out and files.enter_context(open(args.out, "w", encoding="utf-8"))
-            (out or sys.stdout).write(text)
+            sink = out or sys.stdout
+            sink.write(text)
+            sink.flush()  # a closed stdout fails here, before the record is written
             if store:
                 from datetime import datetime, timezone
                 record = {"timestamp": datetime.now(timezone.utc).isoformat(),
@@ -261,6 +266,9 @@ def main(argv=None) -> int:
     except MalformedConfigError as exc:
         sys.stderr.write(f"bad config: {exc}\n")
         return EXIT_BAD_CONFIG
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"cannot write stdout: {exc.strerror}\n")
+        return EXIT_BAD_CONFIG
     except OSError as exc:
         sys.stderr.write(f"cannot open {exc.filename}: {exc.strerror}\n")
         return EXIT_BAD_CONFIG
@@ -273,7 +281,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and `python -m frogz.cli`: one command per process."""
+    # the import-time heap lives until exit, so no collection, during the
+    # command or at exit, needs to rescan it
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main reported the closed stdout; what it left buffered goes nowhere,
+        # so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

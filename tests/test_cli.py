@@ -1,5 +1,9 @@
 import csv
+import gc
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frogz
 from frogz.classify import ProcessParams, classify
 from frogz.cli import (
     EXIT_BAD_CONFIG,
@@ -1049,3 +1054,63 @@ class TestAnyConfig:
     @settings(max_examples=200, deadline=None)
     def test_documented_exit_code_simulate(self, config, profile):
         assert _exit_code(["simulate"], _small_job(config), profile) in _DOCUMENTED
+
+
+# -- the console script: `entry`, one command per process -----------------------
+
+_SQRT = str(Path(__file__).resolve().parent.parent / "configs" / "sqrt_decay.json")
+
+
+def _python(*argv, stdout=subprocess.PIPE, **env):
+    """Run `python argv...` in a child process that imports this frogz."""
+    env = dict(os.environ, PYTHONPATH=str(Path(frogz.__file__).parent.parent), **env)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
+
+
+class TestEntry:
+    def test_entry_freezes_the_heap(self):
+        run = _python("-c", "import gc, frogz.cli as cli\n"
+                            "cli.main = lambda argv=None: print(gc.get_freeze_count() > 0) or 0\n"
+                            "print(gc.get_freeze_count() > 0)\n"
+                            "cli.entry()\n")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\nTrue\n", "")
+
+    def test_main_leaves_the_gc_alone(self, config_file, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["classify", "--config", config_file({"N": 1, "L": 2, "spec": MOD2_SPEC})]) \
+            == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--config", _SQRT],
+        ["exact", "--config", _SQRT],
+        ["simulate", "--config", _SQRT, "--trials", "200", "--horizon", "60"],
+        ["sweep", "--config", _SQRT, "--n-range", "1:2", "--l-range", "1:3"],
+        ["verify"],
+        ["--version"],
+        ["classify", "--config", _SQRT, "--threads", "2"],
+    ], ids=["classify", "exact", "simulate", "sweep", "verify", "version", "usage_error"])
+    def test_module_matches_main(self, args, capsys):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse: --version and usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        run = _python("-m", "frogz.cli", *args)
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["classify", "exact"])
+    def test_closed_stdout(self, command, unbuffered, config_file, tmp_path):
+        # at n_max 2000 the exact table outgrows stdout's buffer: the write fails, not the flush
+        cfg = config_file(dict(json.loads(Path(_SQRT).read_text()), L=16, n_max=2000))
+        store = tmp_path / "runs.jsonl"
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as closed:
+            run = _python("-m", "frogz.cli", command, "--config", cfg, "--store", str(store),
+                          stdout=closed, PYTHONUNBUFFERED=unbuffered)
+        assert (run.returncode, run.stderr) == (EXIT_BAD_CONFIG,
+                                                "cannot write stdout: Broken pipe\n")
+        assert store.read_text() == ""  # opened before the write, but no record
