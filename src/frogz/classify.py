@@ -71,6 +71,11 @@ class TraceEntry:
     values: dict = field(default_factory=dict)
 
 
+def num(x):
+    """A verdict value as classify and sweep print it: "inf" for INF, else x itself."""
+    return "inf" if x == INF else x
+
+
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
@@ -82,9 +87,6 @@ class Verdict:
     exponents: tuple[SeriesExponent, ...] = ()
 
     def to_dict(self) -> dict:
-        def num(x):
-            return "inf" if x == INF else x
-
         return {
             "outcome": self.outcome.value,
             "trace": [
@@ -93,7 +95,7 @@ class Verdict:
             ],
             "values": {
                 "m": num(self.m),
-                "b": self.b,
+                "b": num(self.b),
                 "L0": num(self.L0),
                 "L1": num(self.L1),
                 "exponents": [

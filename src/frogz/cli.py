@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    ProcessParams, check_sweep, classify, min_alignment_exponent, weakest_alignment,
+    ProcessParams, check_sweep, classify, min_alignment_exponent, num, weakest_alignment,
 )
 from .errors import (
     BoundViolationError, FrogzError, MalformedConfigError, OutOfRangeError, TooLargeError,
@@ -31,7 +31,7 @@ from .exact import (
     WalkLaw, _reach_sums, bound_reports, brute_force_reach, build_reach_table, check_enumeration,
 )
 from .mc import ActivationProfile, SimConfig, activation_profile, check_profile, estimate_survival
-from .sequences import INF, ConstantForm, SequenceSpec, config_number, single
+from .sequences import ConstantForm, SequenceSpec, config_number, single
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -91,13 +91,10 @@ def _write_profile(profile: ActivationProfile, path: str) -> None:
 
 def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     params = _params_from_config(config)
-    horizon = args.horizon if args.horizon is not None else _config_num(config, "horizon", 0)
-    trials = args.trials if args.trials is not None else _config_num(config, "trials", 0)
-    seed = args.seed if args.seed is not None else _config_num(config, "seed", 0)
-    cfg = SimConfig(
-        params=params, horizon=horizon, trials=trials, seed=seed,
-        ci_level=_config_num(config, "ci_level", 0.95, float),
-    )
+    # a flag, when given, overrides its config key; the keys are read in this order
+    chosen = {key: _config_num(config, key, 0) if vars(args)[key] is None else vars(args)[key]
+             for key in ("horizon", "trials", "seed")}
+    cfg = SimConfig(params=params, **chosen, ci_level=_config_num(config, "ci_level", 0.95, float))
     if args.profile:
         check_profile(cfg)
     result = estimate_survival(cfg)
@@ -105,7 +102,7 @@ def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
         _write_profile(activation_profile(result), args.profile)
     summary = result.aggregate_dict()
     return (json.dumps(summary, sort_keys=True) + "\n",
-            {**summary, "seed": seed, "work": result.work}, EXIT_OK)
+            {**summary, "seed": cfg.seed, "work": result.work}, EXIT_OK)
 
 
 def _parse_range(text: str) -> range:
@@ -146,13 +143,8 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
                 exps = verdict.exponents or min_alignment_exponent(spec, N, L)
                 best = weakest_alignment(exps)
                 min_e, min_f = repr(best.power_exp), best.log_exp
-            rows.append([
-                N, L, verdict.outcome.value,
-                "inf" if verdict.m == INF else verdict.m, verdict.b,
-                "inf" if verdict.L0 == INF else int(verdict.L0),
-                "inf" if verdict.L1 == INF else int(verdict.L1),
-                min_e, min_f,
-            ])
+            rows.append([N, L, verdict.outcome.value, num(verdict.m), num(verdict.b),
+                         num(verdict.L0), num(verdict.L1), min_e, min_f])
     header = ["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"]
     return _csv(io.StringIO(), header, rows).getvalue(), {"result": {"rows": len(rows)}}, EXIT_OK
 
@@ -285,12 +277,17 @@ def entry() -> None:
     # the import-time heap lives until exit, so no collection, during the
     # command or at exit, needs to rescan it
     gc.freeze()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse wrote --version, --help or a usage error
+        code = exc.code
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        # main reported the closed stdout; what it left buffered goes nowhere,
-        # so the flush at exit does not fail again
+    except BrokenPipeError as exc:
+        if code != EXIT_BAD_CONFIG:  # main reports a closed stdout itself
+            sys.stderr.write(f"cannot write stdout: {exc.strerror}\n")
+            code = EXIT_BAD_CONFIG
+        # what is left buffered goes nowhere, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -410,9 +410,9 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     """
     cfg = result.config
     M, L = cfg.horizon, cfg.params.L
-    n_trials = cfg.trials
-    p = result.site_counts / n_trials
-    lo, hi = wilson_interval(result.site_counts, n_trials, cfg.ci_level)
+    counts, n_trials = result.site_counts, cfg.trials
+    p = counts / n_trials
+    lo, hi = wilson_interval(counts, n_trials, cfg.ci_level)
     half = (hi - lo) / 2
     curve = np.full(M, np.nan)
     # anchored at P(E_{L+1}); SimConfig's M > L makes that site tracked

@@ -103,6 +103,9 @@ _FLOAT_KEYS = [
 ]
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verdicts_golden.json").read_text())
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(payload, name="config.json"):
@@ -456,6 +459,26 @@ class TestSimulateCommand:
         assert payload["config"]["horizon"] == 15
         assert payload["config"]["seed"] == 4
 
+    @pytest.mark.parametrize("key, value", [("horizon", "15"), ("trials", "50"), ("seed", "4")])
+    def test_each_flag_overrides_its_key(self, config_file, tmp_path, key, value):
+        keys = {"horizon": 20, "trials": 200, "seed": 9}
+        cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC, **keys})
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--config", cfg, "--out", str(out), f"--{key}", value]) \
+            == EXIT_OK
+        assert {k: json.loads(out.read_text())["config"][k] for k in keys} \
+            == dict(keys, **{key: int(value)})
+
+    def test_keys_are_read_horizon_trials_seed(self, config_file, capsys):
+        # every key is bad; each flag given hides its key, so the next key is reported
+        cfg = config_file(_sim(horizon=1.5, trials=2.5, seed=3.5))
+        flags = ["--horizon", "20", "--trials", "10", "--seed", "1"]
+        for given, key, got in [(0, "horizon", 1.5), (2, "trials", 2.5), (4, "seed", 3.5)]:
+            rc = main(["simulate", "--config", cfg, "--out", "/dev/null", *flags[:given]])
+            assert (rc, capsys.readouterr().err) == (
+                EXIT_BAD_CONFIG, f"bad config: config key {key!r} must be an integer, got {got}\n")
+        assert main(["simulate", "--config", cfg, "--out", "/dev/null", *flags]) == EXIT_OK
+
     def test_thread_determinism(self, config_file, tmp_path):
         cfg = config_file({"N": 2, "L": 2, "spec": MOD2_SPEC,
                            "horizon": 25, "trials": 400, "seed": 17})
@@ -763,6 +786,21 @@ class TestSweepCommand:
 
         monkeypatch.setattr("frogz.cli.min_alignment_exponent", second_call)
         assert sweep("reused.csv") == baseline
+
+    def test_values_print_as_classify_prints_them(self, config_file, tmp_path):
+        out, keys, cells = tmp_path / "sweep.csv", ("m", "b", "L0", "L1"), []
+        for name, spec_dict in GOLDEN["specs"].items():
+            rc = main(["sweep", "--config", config_file({"spec": spec_dict}), "--out", str(out),
+                       "--n-range", "1:8", "--l-range", "1:8"])
+            assert rc == EXIT_OK
+            spec = SequenceSpec.from_dict(spec_dict)
+            for row in csv.DictReader(out.read_text().splitlines()):
+                params = ProcessParams(N=int(row["N"]), L=int(row["L"]), spec=spec)
+                values = json.loads(json.dumps(classify(params).to_dict()))["values"]
+                cells.append({k: row[k] for k in keys})
+                assert cells[-1] == {k: str(values[k]) for k in keys}, (name, row["N"], row["L"])
+        assert len(cells) == 64 * len(GOLDEN["specs"])
+        assert {k for cell in cells for k in keys if cell[k] == "inf"} == {"m", "L0", "L1"}
 
     def test_spec_analysed_once(self, config_file, tmp_path):
         from frogz.sequences import L0_L1
@@ -1114,3 +1152,16 @@ class TestEntry:
         assert (run.returncode, run.stderr) == (EXIT_BAD_CONFIG,
                                                 "cannot write stdout: Broken pipe\n")
         assert store.read_text() == ""  # opened before the write, but no record
+
+    @pytest.mark.parametrize("unbuffered, code, err", [
+        ("", EXIT_BAD_CONFIG, "cannot write stdout: Broken pipe\n"),
+        # argparse's write fails at once, and argparse drops the text and the error
+        ("1", EXIT_OK, ""),
+    ], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_closed_stdout_argparse_output(self, flag, unbuffered, code, err):
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as closed:
+            run = _python("-m", "frogz.cli", flag, stdout=closed, PYTHONUNBUFFERED=unbuffered)
+        assert (run.returncode, run.stderr) == (code, err)

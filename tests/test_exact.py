@@ -154,6 +154,17 @@ class TestActivationProducts:
         assert all(x >= y for x, y in zip(vals, vals[1:]))
         assert 0 < vals[-1] < 1
 
+    def test_product_stops_at_zero(self, monkeypatch):
+        # 1 - a_n = 1 - q = 2^-53 per block at N = L = 1, so the product
+        # underflows to 0.0 at block 21, in the third chunk of 8 blocks
+        spec = single(ConstantForm(q=1 - 2.0 ** -53))
+        grids, block_grid = [], exact_mod._block_grid
+        monkeypatch.setattr(exact_mod, "_DP_CELLS", 8)
+        monkeypatch.setattr(exact_mod, "_block_grid", lambda *args: grids.append(args) or
+                            block_grid(*args))
+        assert partial_survival_product(spec, N=1, L=1, M=400) == 0.0
+        assert len(grids) == 3
+
     def test_table_structure(self, inv_square_spec):
         rows = build_reach_table(inv_square_spec, N=1, L=1, n_max=30)
         assert [row.n for row in rows] == list(range(31))
