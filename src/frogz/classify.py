@@ -95,7 +95,7 @@ class Verdict:
             ],
             "values": {
                 "m": num(self.m),
-                "b": num(self.b),
+                "b": self.b,
                 "L0": num(self.L0),
                 "L1": num(self.L1),
                 "exponents": [

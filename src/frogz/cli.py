@@ -92,9 +92,12 @@ def _write_profile(profile: ActivationProfile, path: str) -> None:
 def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     params = _params_from_config(config)
     # a flag, when given, overrides its config key; the keys are read in this order
-    chosen = {key: _config_num(config, key, 0) if vars(args)[key] is None else vars(args)[key]
-             for key in ("horizon", "trials", "seed")}
-    cfg = SimConfig(params=params, **chosen, ci_level=_config_num(config, "ci_level", 0.95, float))
+    flags = {key: getattr(args, key) for key in ("horizon", "trials", "seed")}
+    chosen = {key: _config_num(config, key, 0) if flag is None else flag
+              for key, flag in flags.items()}
+    cfg = SimConfig(
+        params=params, **chosen, ci_level=_config_num(config, "ci_level", 0.95, float),
+    )
     if args.profile:
         check_profile(cfg)
     result = estimate_survival(cfg)
@@ -143,8 +146,10 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
                 exps = verdict.exponents or min_alignment_exponent(spec, N, L)
                 best = weakest_alignment(exps)
                 min_e, min_f = repr(best.power_exp), best.log_exp
-            rows.append([N, L, verdict.outcome.value, num(verdict.m), num(verdict.b),
-                         num(verdict.L0), num(verdict.L1), min_e, min_f])
+            rows.append([
+                N, L, verdict.outcome.value, num(verdict.m), verdict.b,
+                num(verdict.L0), num(verdict.L1), min_e, min_f,
+            ])
     header = ["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"]
     return _csv(io.StringIO(), header, rows).getvalue(), {"result": {"rows": len(rows)}}, EXIT_OK
 
@@ -225,8 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse printed --version, --help or a usage error
+            sys.stdout.flush()  # a closed stdout fails here and is reported below
+            raise
         config = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -277,17 +286,12 @@ def entry() -> None:
     # the import-time heap lives until exit, so no collection, during the
     # command or at exit, needs to rescan it
     gc.freeze()
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse wrote --version, --help or a usage error
-        code = exc.code
+    code = main()
     try:
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        if code != EXIT_BAD_CONFIG:  # main reports a closed stdout itself
-            sys.stderr.write(f"cannot write stdout: {exc.strerror}\n")
-            code = EXIT_BAD_CONFIG
-        # what is left buffered goes nowhere, so the flush at exit does not fail again
+    except BrokenPipeError:
+        # main reported the closed stdout; what it left buffered goes nowhere,
+        # so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -410,9 +410,9 @@ def activation_profile(result: SimResult) -> ActivationProfile:
     """
     cfg = result.config
     M, L = cfg.horizon, cfg.params.L
-    counts, n_trials = result.site_counts, cfg.trials
-    p = counts / n_trials
-    lo, hi = wilson_interval(counts, n_trials, cfg.ci_level)
+    counts = result.site_counts
+    p = counts / cfg.trials
+    lo, hi = wilson_interval(counts, cfg.trials, cfg.ci_level)
     half = (hi - lo) / 2
     curve = np.full(M, np.nan)
     # anchored at P(E_{L+1}); SimConfig's M > L makes that site tracked

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import errno
 import gc
 import json
 import os
@@ -448,26 +450,17 @@ class TestSimulateCommand:
         assert payload["config"]["seed"] == 9
 
     def test_flags_override_config(self, config_file, tmp_path):
-        cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC,
-                           "horizon": 20, "trials": 200, "seed": 9})
-        out = tmp_path / "sim.jsonl"
-        rc = main(["simulate", "--config", cfg, "--out", str(out),
-                   "--trials", "50", "--horizon", "15", "--seed", "4"])
-        assert rc == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["result"]["trials"] == 50
-        assert payload["config"]["horizon"] == 15
-        assert payload["config"]["seed"] == 4
-
-    @pytest.mark.parametrize("key, value", [("horizon", "15"), ("trials", "50"), ("seed", "4")])
-    def test_each_flag_overrides_its_key(self, config_file, tmp_path, key, value):
         keys = {"horizon": 20, "trials": 200, "seed": 9}
         cfg = config_file({"N": 1, "L": 2, "spec": MOD2_SPEC, **keys})
         out = tmp_path / "sim.jsonl"
-        assert main(["simulate", "--config", cfg, "--out", str(out), f"--{key}", value]) \
-            == EXIT_OK
-        assert {k: json.loads(out.read_text())["config"][k] for k in keys} \
-            == dict(keys, **{key: int(value)})
+        # all three flags, then each flag alone: a given flag overrides its key only
+        for flags in [{"trials": 50, "horizon": 15, "seed": 4},
+                      {"horizon": 15}, {"trials": 50}, {"seed": 4}]:
+            argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+            assert main(["simulate", "--config", cfg, "--out", str(out), *argv]) == EXIT_OK
+            payload = json.loads(out.read_text())
+            assert {k: payload["config"][k] for k in keys} == {**keys, **flags}
+            assert payload["result"]["trials"] == flags.get("trials", keys["trials"])
 
     def test_keys_are_read_horizon_trials_seed(self, config_file, capsys):
         # every key is bad; each flag given hides its key, so the next key is reported
@@ -1106,6 +1099,34 @@ def _python(*argv, stdout=subprocess.PIPE, **env):
                           text=True, env=env)
 
 
+_CLOSED_STDOUT = (EXIT_BAD_CONFIG, "cannot write stdout: Broken pipe\n")
+
+# argparse before 3.11.x lets a failed print raise out of parse_args; this
+# child runs the console entry with that argparse, whatever this interpreter's
+_RAISING_ARGPARSE = (
+    "import argparse, sys\n"
+    "argparse.ArgumentParser._print_message = "
+    "lambda self, message, file=None: (file or sys.stderr).write(message)\n"
+    "import frogz.cli\n"
+    "frogz.cli.entry()\n")
+
+
+def _argparse_drops_failed_print() -> bool:
+    """Whether this interpreter's argparse drops a print that fails, as newer releases do."""
+    class ClosedFile:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    try:
+        argparse.ArgumentParser().print_usage(ClosedFile())
+    except BrokenPipeError:
+        return False
+    return True
+
+
+_ARGPARSE_DROPS_FAILED_PRINT = _argparse_drops_failed_print()
+
+
 class TestEntry:
     def test_entry_freezes_the_heap(self):
         run = _python("-c", "import gc, frogz.cli as cli\n"
@@ -1153,15 +1174,17 @@ class TestEntry:
                                                 "cannot write stdout: Broken pipe\n")
         assert store.read_text() == ""  # opened before the write, but no record
 
-    @pytest.mark.parametrize("unbuffered, code, err", [
-        ("", EXIT_BAD_CONFIG, "cannot write stdout: Broken pipe\n"),
-        # argparse's write fails at once, and argparse drops the text and the error
-        ("1", EXIT_OK, ""),
-    ], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("unbuffered, child, expected", [
+        ("", ["-m", "frogz.cli"], _CLOSED_STDOUT),
+        # argparse's own write fails at once: newer releases drop the text and the error
+        ("1", ["-m", "frogz.cli"], (EXIT_OK, "") if _ARGPARSE_DROPS_FAILED_PRINT
+         else _CLOSED_STDOUT),
+        ("1", ["-c", _RAISING_ARGPARSE], _CLOSED_STDOUT),
+    ], ids=["buffered", "unbuffered", "unbuffered_raising_argparse"])
     @pytest.mark.parametrize("flag", ["--version", "--help"])
-    def test_closed_stdout_argparse_output(self, flag, unbuffered, code, err):
+    def test_closed_stdout_argparse_output(self, flag, unbuffered, child, expected):
         read, write = os.pipe()
         os.close(read)
         with os.fdopen(write, "wb") as closed:
-            run = _python("-m", "frogz.cli", flag, stdout=closed, PYTHONUNBUFFERED=unbuffered)
-        assert (run.returncode, run.stderr) == (code, err)
+            run = _python(*child, flag, stdout=closed, PYTHONUNBUFFERED=unbuffered)
+        assert (run.returncode, run.stderr) == expected
