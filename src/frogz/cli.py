@@ -82,11 +82,13 @@ def cmd_exact(config: dict, args) -> tuple[str, dict, int]:
 
 
 def _write_profile(profile: ActivationProfile, path: str) -> None:
+    columns = (profile.sites, profile.p_hat, profile.ci_half, profile.lower_curve)
+    step = 2 ** 14                      # rows turned into Python numbers at a time
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _csv(fh, ["site", "p_hat_Ei", "ci_half", "lower_bound_curve"], (
-            [int(i), repr(float(p)), repr(float(h)), "" if math.isnan(lb) else repr(float(lb))]
-            for i, p, h, lb in zip(profile.sites, profile.p_hat, profile.ci_half,
-                                   profile.lower_curve)))
+            [i, repr(p), repr(h), "" if math.isnan(lb) else repr(lb)]
+            for k in range(0, len(profile.sites), step)
+            for i, p, h, lb in zip(*(column[k:k + step].tolist() for column in columns))))
 
 
 def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:

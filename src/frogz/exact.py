@@ -236,7 +236,7 @@ def a_n(spec: SequenceSpec, N: int, L: int, n: int):
 
 def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.ndarray:
     """a_n for blocks n in [start, stop), one first-passage sum per (block, position) walk."""
-    return np.array([an for _, an, _ in _blocks(spec, N, L, start, stop)], dtype=np.float64)
+    return np.fromiter((an for _, an, _ in _blocks(spec, N, L, start, stop)), dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -48,20 +48,23 @@ two reused uint64 arrays, the hashes and _mix_folded's scratch, and once the
 hashes are mixed the scratch bytes hold the stuck mask, a comparison mask
 and the reach counts: the scan holds 16 bytes per slice element (768 KiB),
 plus 2 per element of a slice's last L - 1 rows, whatever the horizon or the
-trial count.  Thresholds are evaluated in pieces of sites
-2**k..2**(k+1) - 1, once, when a trial first scans the piece, and shared by
-every range: about L^2/4 first-passage terms and at most N*L multiplications
-per site, in O(log S) calls.  A run keeps one histogram, the trials per
-frontier site up to the furthest frontier, capped at M, and every number it
-reports reads it; the work it records as evaluated is, summed over trials, the
-end of the block holding the frontier (at most S): the hashed trial-sites.
+trial count.  Thresholds are evaluated in stretches, one at a time: a
+stretch starts at a block and doubles with the blocks up to _CHUNK_ELEMENTS
+// L sites in whole blocks (at least one), so each site is evaluated once:
+about L^2/4 first-passage terms and at most N*L multiplications per site, in
+O(log S + S*L/_CHUNK_ELEMENTS) calls.  Only a run of several ranges keeps its
+stretches, shared by its ranges, which rescan the same sites; the work guard
+holds those under 2 MiB.  A run keeps one histogram, the trials per frontier
+site up to the furthest frontier (8 bytes a site, the one thing that grows
+with the horizon), capped at M, and every number it reports reads it; the
+work it records as evaluated is, summed over trials, the end of the block
+holding the frontier (at most S): the hashed trial-sites.
 `simulate --profile` derives the activation profile from the same run
 (activation_profile), so one command is one MC pass.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +76,7 @@ from .exact import _reach_sums
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials, N, L)
 _BLOCK = 64                   # a power of 2: the widest scan block, in sites
-_CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; L * sites per threshold piece
+_CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; about L * sites per threshold stretch
 _RANGE_TRIALS = 2 ** 14       # the most trials one range scans: <= _CHUNK_ELEMENTS, one slice row
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
@@ -231,19 +234,6 @@ def _thresholds(prob: np.ndarray) -> np.ndarray:
     return np.ceil(np.clip(prob, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
 
 
-def _reach_thresholds(q: np.ndarray, N: int, L: int) -> np.ndarray:
-    """T[d-1, i] = _thresholds(P(R_i < d)) for sites with left-step probabilities q.
-
-    Sites are taken in pieces of at most _CHUNK_ELEMENTS // L (one site when
-    L is larger), so each (L, sites) array of _miss_probs stays bounded.
-    """
-    out = np.empty((L, q.size), dtype=np.uint64)
-    step = max(1, _CHUNK_ELEMENTS // L)
-    for k in range(0, q.size, step):
-        out[:, k:k + step] = _thresholds(_miss_probs(q[k:k + step], N, L))
-    return out
-
-
 def _block_end(site, S: int):
     """Last site of the scan block holding `site` (an int or an int64 array).
 
@@ -256,45 +246,35 @@ def _block_end(site, S: int):
     return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
 
 
-def _block_thresholds(spec, N: int, L: int, S: int):
-    """thresholds(lo, hi): the reach thresholds of sites lo+1..hi of `spec`, (L, hi-lo).
-
-    Sites are evaluated in pieces that double in width, 2**k..2**(k+1) - 1
-    cut at S, each once, on first use, and shared by every range; a scan
-    block never crosses a piece edge.  So a run evaluates O(log S) pieces and
-    at most twice the sites some trial scans.
-    """
-    @functools.cache
-    def piece(k: int) -> np.ndarray:
-        return _reach_thresholds(spec.values(1 << k, min(2 << k, S + 1)), N, L)
-
-    def thresholds(lo: int, hi: int) -> np.ndarray:
-        k = (lo + 1).bit_length() - 1
-        return piece(k)[:, lo + 1 - (1 << k):hi + 1 - (1 << k)]
-    return thresholds
-
-
-def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> np.ndarray:
+def _frontiers(values, N: int, L: int, S: int, seed: int, trial_lo: int, trial_hi: int,
+               shared: dict | None = None) -> np.ndarray:
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
-    thresholds(lo, hi) gives the reach thresholds of sites lo+1..hi (see
-    _reach_thresholds).  Sites are scanned in the blocks of _block_end, each
-    in slices of at most _CHUNK_ELEMENTS trial-sites: a row of every live
+    values(a, b) gives the left-step probabilities of sites a..b-1, as
+    SequenceSpec.values does.  Sites are scanned in the blocks of _block_end,
+    each in slices of at most _CHUNK_ELEMENTS trial-sites: a row of every live
     trial (a range has at most _RANGE_TRIALS) by as many of the block's sites
     as fill the slice.  Since R_i <= L, site k is the frontier when R_k = 0
     and no site among the L - 1 before it reaches past it, the earlier
     slices' furthest reach being carried per trial; a trial leaves the scan
-    at the end of the block where its frontier is found.
+    at the end of the block where its frontier is found.  The thresholds are
+    evaluated in stretches, one at a time: a stretch starts at the block that
+    passes the last one and doubles with the blocks up to width sites,
+    _CHUNK_ELEMENTS // L in whole blocks and at least one, so stretches end on
+    block ends and no site is evaluated twice.
+    `shared`, given only in a run of several ranges, keeps each stretch by its
+    first site for the ranges that rescan it.
     """
     h1 = _fold(_mix(np.uint64(seed) ^ (np.arange(trial_lo, trial_hi, dtype=np.uint64) * _K1)))
     frontier = np.empty(len(h1), dtype=np.int64)
     live = np.arange(len(h1))           # positions in `frontier` still scanning
-    L = len(thresholds(0, 1))
     count = np.dtype(np.uint8 if L < 256 else np.uint16)   # reach counts
     # max of i + R_i over the sites scanned, per trial; at L = 1 no site
     # reaches past itself, so there is nothing to carry
     carry = np.zeros(len(h1) if L > 1 else 0, dtype=np.int64)
     lo = 0                              # sites scanned so far
+    width = max(1, _CHUNK_ELEMENTS // L // _BLOCK) * _BLOCK   # the widest stretch, in sites
+    start = end = 0                     # the stretch holds sites start+1..end
     size = min(_CHUNK_ELEMENTS, _BLOCK * len(h1))
     # a slice's hashes and _mix_folded's scratch; once the hashes are mixed,
     # the scratch bytes hold the stuck mask, a comparison mask and the counts
@@ -302,7 +282,14 @@ def _frontiers(thresholds, S: int, seed: int, trial_lo: int, trial_hi: int) -> n
     mem = scratch.view(np.uint8)
     while len(live):
         hi = min(2 * lo + 1, lo + _BLOCK, S)   # _block_end(lo + 1, S) in Python ints
-        table = thresholds(lo, hi)[:, :, None]
+        if hi > end:                    # the next stretch starts at this block
+            start, end = lo, min(2 * lo + 1, lo + width, S)
+            stretch = shared.get(start) if shared is not None else None
+            if stretch is None:
+                stretch = _thresholds(_miss_probs(values(start + 1, end + 1), N, L))
+                if shared is not None:
+                    shared[start] = stretch
+        table = stretch[:, lo - start:hi - start, None]
         keys = _fold(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _K2)[:, None]   # (sites, 1)
         found = np.zeros(len(live), dtype=bool)
         w = len(live)                   # trials per slice: every live one
@@ -359,10 +346,14 @@ def _check_budget(cfg: SimConfig) -> int:
 def run_trials(cfg: SimConfig) -> np.ndarray:
     """Frontier sites for all trials; deterministic in (config, seed) only."""
     S = _check_budget(cfg)
-    thresholds = _block_thresholds(cfg.params.spec, cfg.params.N, cfg.params.L, S)
     count = -(-cfg.trials // _RANGE_TRIALS)     # equal ranges of at most _RANGE_TRIALS
     bounds = [k * cfg.trials // count for k in range(count + 1)]
-    return np.concatenate([_frontiers(thresholds, S, cfg.seed, lo, hi)
+    # ranges rescan the same sites; the work guard keeps S * L, and so the
+    # stretches they share, under DEFAULT_WORK_BUDGET / _RANGE_TRIALS * 8 bytes
+    shared = {} if count > 1 else None
+    params = cfg.params
+    return np.concatenate([_frontiers(params.spec.values, params.N, params.L, S, cfg.seed,
+                                      lo, hi, shared)
                            for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
@@ -372,8 +363,7 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     if not 0 <= trial < 2 ** 64:
         raise OutOfRangeError(f"trial must be in [0, 2**64), got {trial}")
     S = M + params.L
-    thresholds = _block_thresholds(params.spec, params.N, params.L, S)
-    h = int(_frontiers(thresholds, S, seed, trial, trial + 1)[0])
+    h = int(_frontiers(params.spec.values, params.N, params.L, S, seed, trial, trial + 1)[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 

@@ -22,7 +22,6 @@ from frogz.mc import (
     _miss_probs,
     _mix,
     _mix_folded,
-    _reach_thresholds,
     _thresholds,
     estimate_activation_profile,
     estimate_survival,
@@ -176,10 +175,9 @@ class TestDeterminism:
             simulate_trial(ProcessParams(N=1, L=2, spec=const_spec), 10, trial, seed)
 
 
-def _array_thresholds(qs, N, L):
-    """_frontiers' thresholds(lo, hi) read from one table over all the per-site q."""
-    table = _reach_thresholds(qs, N, L)
-    return lambda lo, hi: table[:, lo:hi]
+def _array_frontiers(qs, N, L, seed, trial_lo, trial_hi):
+    """_frontiers over the len(qs) sites whose left-step probabilities are qs."""
+    return _frontiers(lambda a, b: qs[a - 1:b - 1], N, L, len(qs), seed, trial_lo, trial_hi)
 
 
 # the last site of each of the first scan blocks: they double in width up to
@@ -219,7 +217,7 @@ class TestBlockedScan:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         qs = rng.choice([1e-9, 0.5, 1 - 1e-9], size=S, p=[0.8, 0.1, 0.1])
         lo = data.draw(st.integers(0, 2**40))
-        assert np.array_equal(_frontiers(_array_thresholds(qs, N, L), S, seed, lo, lo + trials),
+        assert np.array_equal(_array_frontiers(qs, N, L, seed, lo, lo + trials),
                               unblocked_frontiers(qs, N, L, seed, lo, lo + trials))
 
     @pytest.mark.parametrize("L, stalls, want", [
@@ -236,7 +234,7 @@ class TestBlockedScan:
         # over one, from the previous block when the site starts a block
         qs = np.full(3 * _BLOCK, 1e-12)
         qs[np.array(stalls) - 1] = 1 - 1e-12
-        got = _frontiers(_array_thresholds(qs, 1, L), len(qs), 5, 0, 20)
+        got = _array_frontiers(qs, 1, L, 5, 0, 20)
         assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
         assert np.all(got == want)
 
@@ -285,6 +283,22 @@ class TestBlockedScan:
                 tracemalloc.stop()
         assert peak[20_000] <= 1.5 * peak[2_000], peak
 
+    @pytest.mark.parametrize("name, L, M", [("inv_square", 1, 120_000), ("sqrt_decay", 16, 10_000)])
+    def test_memory_does_not_grow_with_a_surviving_horizon(self, name, L, M):
+        # two of the 4 trials reach the horizon; one stretch of thresholds is
+        # held at a time, a full one already at M
+        peak = {}
+        for m in (M, 10 * M):
+            cfg = make_cfg(_config_spec(name), N=1, L=L, horizon=m, trials=4, seed=1)
+            tracemalloc.start()
+            try:
+                got = run_trials(cfg)
+                peak[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (got == m + L).sum() == 2
+        assert peak[10 * M] < min(1.25 * peak[M], 3 * 2**20), peak
+
     def test_memory_bounded_by_the_chunk(self, inv_square_spec, sqrt_spec):
         # 16 bytes per slice element: the slice's uint64 hashes (8) and
         # _mix_folded's scratch (8), whose bytes then hold the stuck mask, a
@@ -328,9 +342,9 @@ class TestBlockedScan:
         S = 2 * L + 70
         qs = np.random.default_rng(L).choice([1e-3, 0.6, 1 - 1e-9], size=S, p=[0.1, 0.8, 0.1])
         qs[0] = 0.6
-        got = _frontiers(_array_thresholds(qs, 1, L), S, 9, 0, 40)
+        got = _array_frontiers(qs, 1, L, 9, 0, 40)
         assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 9, 0, 40))
-        # through run_trials, with thresholds evaluated in doubling pieces
+        # through run_trials, with thresholds evaluated in doubling stretches
         cfg = make_cfg(single(ConstantForm(q=0.6)), N=1, L=L, horizon=L + 70, trials=40, seed=9)
         want = unblocked_frontiers(cfg.params.spec.values(1, S + 1), 1, L, 9, 0, 40)
         assert len(set(want.tolist())) >= 4
@@ -524,7 +538,7 @@ class TestReachLaw:
         # nondecreasing in d, nonincreasing in N and in L: the coupling of one
         # uniform per (trial, site) across N and L stays monotone
         qs = _config_spec(name).values(1, 3001)
-        T = {(N, L): _reach_thresholds(qs, N, L).astype(np.int64)
+        T = {(N, L): _thresholds(_miss_probs(qs, N, L)).astype(np.int64)
              for N in range(1, 5) for L in range(1, 17)}
         for (N, L), t in T.items():
             assert np.all(np.diff(t, axis=0) >= 0), (N, L)
@@ -533,22 +547,46 @@ class TestReachLaw:
             if L > 1:
                 assert np.all(t[:L - 1] <= T[N, L - 1]), (N, L)
 
-    def test_pieces_match_one_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("chunk, L", [(400, 3), (30, 5)])
+    def test_stretches_fit_the_chunk(self, chunk, L, monkeypatch):
+        # _CHUNK_ELEMENTS // L = 133 sites at L = 3, which whole blocks make
+        # 128: stretches of two blocks from site 255 on; at L = 5 one block
         import frogz.mc as mc_mod
-        qs = _config_spec("mod2_interleave").values(1, 200)
-        whole = _reach_thresholds(qs, 2, 5)
-        # _CHUNK_ELEMENTS // L = 6 sites per piece at L = 5: the 199 sites take 34 pieces
         sizes = []
 
         def counted(q, N, L):
             sizes.append(q.size)
             return _miss_probs(q, N, L)
         monkeypatch.setattr(mc_mod, "_miss_probs", counted)
-        monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", 30)
-        assert np.array_equal(mc_mod._reach_thresholds(qs, 2, 5), whole)
-        assert sizes == [6] * 33 + [1]
-        assert np.array_equal(whole, _thresholds(_miss_probs(qs, 2, 5)))
+        monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
+        spec = _config_spec("inv_square")
+        cfg = make_cfg(spec, N=1, L=L, horizon=1000, trials=20, seed=3)
+        got = mc_mod.run_trials(cfg)
+        assert max(sizes) <= max(_BLOCK, chunk // L)
+        assert max(sizes) == max(_BLOCK, chunk // L // _BLOCK * _BLOCK)
+        # every site up to the furthest frontier's block is evaluated once
+        assert sum(sizes) == _block_end(got.max(), 1000 + L) > 1000 - 2 * max(sizes)
+        assert np.array_equal(got, unblocked_frontiers(spec.values(1, 1001 + L), 1, L, 3, 0, 20))
 
+    def test_ranges_share_stretches(self, sqrt_spec, monkeypatch):
+        # 3 ranges rescan the same sites, yet each stretch is evaluated once
+        # per run: the one-range run's calls, in the same order
+        import frogz.mc as mc_mod
+        calls = {}
+
+        def counted(q, N, L):
+            calls[run].append(q.size)
+            return _miss_probs(q, N, L)
+        monkeypatch.setattr(mc_mod, "_miss_probs", counted)
+        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
+        got = {}
+        for run in (150, 50):
+            monkeypatch.setattr(mc_mod, "_RANGE_TRIALS", run)
+            calls[run] = []
+            got[run] = mc_mod.run_trials(cfg)
+        assert calls[150] == [1, 2, 4, 8, 16, 32, 64, 73]
+        assert calls[50] == calls[150]
+        assert np.array_equal(got[50], got[150])
 
     def test_thresholds_evaluated_per_piece(self, monkeypatch):
         # one surviving trial scans all 38 blocks of S = 2002 sites; the
