@@ -13,7 +13,7 @@ import json
 import sys
 
 from frogz.classify import ProcessParams, classify
-from frogz.mc import SimConfig, estimate_survival
+from frogz.mc import SimConfig, estimate_survival, wilson_interval
 from frogz.sequences import SequenceSpec
 
 
@@ -35,11 +35,16 @@ def main() -> int:
     print(f"classifier: {verdict.outcome.value} via {verdict.trace[0].rule} "
           f"(m={verdict.m}, b={verdict.b}, L0={verdict.L0}, L1={verdict.L1})")
 
-    for M in args.horizons:
-        res = estimate_survival(
-            SimConfig(params=params, horizon=M, trials=args.trials, seed=args.seed))
-        print(f"M={M:6d}  p_hat={res.p_hat:.4f}  "
-              f"CI=[{res.ci_low:.4f}, {res.ci_high:.4f}]")
+    # one run at the largest horizon serves every horizon: a trial's frontier at
+    # horizon M is its frontier h here capped at M + L, so it survives to M iff h >= M
+    cfgs = [SimConfig(params=params, horizon=M, trials=args.trials, seed=args.seed)
+            for M in args.horizons]
+    counts = estimate_survival(max(cfgs, key=lambda cfg: cfg.horizon)).site_counts
+    for cfg in cfgs:
+        survived = counts[cfg.horizon - 1]
+        lo, hi = wilson_interval(survived, cfg.trials, cfg.ci_level)
+        print(f"M={cfg.horizon:6d}  p_hat={survived / cfg.trials:.4f}  "
+              f"CI=[{lo:.4f}, {hi:.4f}]")
     return 0
 
 

@@ -16,8 +16,9 @@ R5 and R6 have failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidSpecError, OutOfRangeError, TooLargeError
 from .exact import b, f
@@ -45,8 +46,7 @@ class ProcessParams:
             raise OutOfRangeError(f"need N >= 1 and L >= 1, got N={self.N}, L={self.L}")
 
 
-@dataclass(frozen=True)
-class SeriesExponent:
+class SeriesExponent(NamedTuple):
     """Block-alignment exponents: sum a_n restricted to n = r (mod k) behaves
     like sum n^(-E) (log n)^(-F)."""
 
@@ -64,11 +64,10 @@ class SeriesExponent:
         return False
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     rule: str
     note: str
-    values: dict = field(default_factory=dict)
+    values: dict
 
 
 def num(x):
@@ -76,8 +75,7 @@ def num(x):
     return "inf" if x == INF else x
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: Outcome
     trace: tuple[TraceEntry, ...]
     m: float

@@ -18,6 +18,9 @@ import math
 import os
 import sys
 
+# numpy's OpenBLAS reads this on import: frogz calls no BLAS routine (its only
+# @ products are int64), so it needs no worker thread.  A user's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__

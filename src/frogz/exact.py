@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +240,7 @@ def a_n_array(spec: SequenceSpec, N: int, L: int, start: int, stop: int) -> np.n
     return np.fromiter((an for _, an, _ in _blocks(spec, N, L, start, stop)), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     j: int
     q: float
     lower: float
@@ -299,8 +299,7 @@ def partial_survival_product(spec: SequenceSpec, N: int, L: int, M: int, start: 
     return prod
 
 
-@dataclass(frozen=True)
-class ReachRow:
+class ReachRow(NamedTuple):
     n: int
     a_n: float
     lower: float

@@ -54,11 +54,11 @@ stretch starts at a block and doubles with the blocks up to _CHUNK_ELEMENTS
 about L^2/4 first-passage terms and at most N*L multiplications per site, in
 O(log S + S*L/_CHUNK_ELEMENTS) calls.  Only a run of several ranges keeps its
 stretches, shared by its ranges, which rescan the same sites; the work guard
-holds those under 2 MiB.  A run keeps one histogram, the trials per frontier
-site up to the furthest frontier (8 bytes a site, the one thing that grows
-with the horizon), capped at M, and every number it reports reads it; the
-work it records as evaluated is, summed over trials, the end of the block
-holding the frontier (at most S): the hashed trial-sites.
+holds those under 2 MiB.  A run keeps one count per distinct frontier,
+capped at M (at most one per trial, whatever the horizon), and every number
+it reports reads these counts; the work it records as evaluated is, summed
+over trials, the end of the block holding the frontier (at most S): the
+hashed trial-sites.
 `simulate --profile` derives the activation profile from the same run
 (activation_profile), so one command is one MC pass.
 """
@@ -66,6 +66,7 @@ holding the frontier (at most S): the hashed trial-sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,10 +147,10 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     config: SimConfig
-    hist: np.ndarray             # trials per max activated site, capped at M, up to the largest
+    sites: np.ndarray            # max activated sites capped at M, increasing but for repeats of M
+    counts: np.ndarray           # trials per entry of sites
     survival_count: int
     p_hat: float
     ci_low: float
@@ -159,7 +160,8 @@ class SimResult:
     @property
     def site_counts(self) -> np.ndarray:
         """Activation counts for sites 1..M, built on demand: O(M) memory."""
-        hist = np.pad(self.hist, (0, self.config.horizon + 1 - len(self.hist)))
+        hist = np.zeros(self.config.horizon + 1, dtype=np.int64)
+        np.add.at(hist, self.sites, self.counts)
         # E_i holds iff the frontier reached at least i
         return np.cumsum(hist[::-1])[::-1][1:]
 
@@ -173,14 +175,13 @@ class SimResult:
                 "ci_low": self.ci_low,
                 "ci_high": self.ci_high,
                 # an exact int total, so the mean is correctly rounded
-                "max_site_mean": int(np.arange(len(self.hist)) @ self.hist) / self.config.trials,
-                "max_site_max": len(self.hist) - 1,
+                "max_site_mean": int(self.sites @ self.counts) / self.config.trials,
+                "max_site_max": int(self.sites[-1]),
             },
         }
 
 
-@dataclass(frozen=True)
-class ActivationProfile:
+class ActivationProfile(NamedTuple):
     sites: np.ndarray            # 1..M
     p_hat: np.ndarray            # empirical P(E_i)
     ci_half: np.ndarray          # Wilson half-widths
@@ -370,14 +371,12 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
 def estimate_survival(cfg: SimConfig) -> SimResult:
     """Survival-to-horizon estimate with a Wilson interval; per-site counts on demand."""
     M, S = cfg.horizon, cfg.horizon + cfg.params.L
-    hist = np.bincount(run_trials(cfg))     # trials per frontier, up to the furthest
-    sites = np.flatnonzero(hist)
+    sites, counts = np.unique(run_trials(cfg), return_counts=True)   # trials per frontier
     # a trial hashes the sites up to the end of the block holding its frontier
-    work = {"budgeted": cfg.trials * S, "evaluated": int(_block_end(sites, S) @ hist[sites])}
-    survived = int(hist[M:].sum())
-    hist[M:M + 1] = survived                # cap at M: empty when no trial reached M
+    work = {"budgeted": cfg.trials * S, "evaluated": int(_block_end(sites, S) @ counts)}
+    survived = int(counts[sites >= M].sum())
     lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
-    return SimResult(config=cfg, hist=hist[:M + 1], survival_count=survived,
+    return SimResult(config=cfg, sites=np.minimum(sites, M), counts=counts, survival_count=survived,
                      p_hat=survived / cfg.trials, ci_low=lo, ci_high=hi, work=work)
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import takewhile
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -361,8 +361,7 @@ def is_in_D1(spec: SequenceSpec) -> str:
 # -- subsequence analysis (L0, L1) -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubseqAnalysis:
+class SubseqAnalysis(NamedTuple):
     """One candidate subsequence: a residue subset or an override family."""
 
     residues: tuple[int, ...]

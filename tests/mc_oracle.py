@@ -19,7 +19,7 @@ e_i >= 1.
 `frogz.mc.wilson_interval` on an array of counts must match it bit for bit.
 
 `survival_fields` computes what a run reports from one frontier per trial;
-`frogz.mc.estimate_survival`, which reads a frontier histogram, must match it.
+`frogz.mc.estimate_survival`, which reads its counts per distinct frontier, must match it.
 """
 
 import math
@@ -109,7 +109,7 @@ def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
 def survival_fields(frontiers: np.ndarray, M: int, S: int) -> dict:
     """What `frogz.mc.estimate_survival` reports, from one frontier per trial.
 
-    These are the per-trial formulas the frontier histogram replaces: the
+    These are the per-trial formulas the frontier counts replace: the
     frontiers capped at M give the mean, the max and the per-site counts
     (E_i holds iff the frontier reached at least i), and each trial hashes the
     sites up to the end of the scan block holding its frontier.

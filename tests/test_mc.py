@@ -476,8 +476,23 @@ class TestEstimates:
         assert peak < 2**20, peak
         assert res.site_counts[0] == 1 and res.site_counts.shape == (10**6,)
 
+    def test_survival_memory_does_not_grow_with_a_surviving_horizon(self, inv_square_spec):
+        # the simulate path without --profile: two of the 4 trials reach the
+        # horizon, and a run keeps one count per distinct frontier
+        peak = {}
+        for M in (120_000, 1_200_000):
+            cfg = make_cfg(inv_square_spec, N=1, L=1, horizon=M, trials=4, seed=1)
+            tracemalloc.start()
+            try:
+                result = estimate_survival(cfg).aggregate_dict()["result"]
+                peak[M] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result["survival_count"] == 2 and result["max_site_max"] == M
+        assert peak[1_200_000] < min(1.25 * peak[120_000], 3 * 2**20), peak
+
     def test_survival_memory_per_trial(self):
-        # one frontier histogram: at 10^6 trials nothing but run_trials' int64
+        # one count per distinct frontier: at 10^6 trials nothing but run_trials' int64
         # frontiers and their per-range pieces grows with the trial count
         trials = 10**6
         cfg = make_cfg(single(ConstantForm(q=0.5)), horizon=2, trials=trials)
@@ -644,7 +659,7 @@ class TestFrontierHistogram:
     @pytest.mark.parametrize("size", ["own", "40000x60", "3"])
     @pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
     def test_matches_per_trial_formulas(self, name, size):
-        # every number a run reports reads the histogram; the per-trial
+        # every number a run reports reads the frontier counts; the per-trial
         # formulas on run_trials' frontiers must give the same, bit for bit
         config = json.loads((_CONFIGS / f"{name}.json").read_text())
         trials, M = {"own": (config["trials"], config["horizon"]), "40000x60": (40_000, 60),
@@ -656,4 +671,4 @@ class TestFrontierHistogram:
         got = {key: result[key] for key in ("survival_count", "max_site_mean", "max_site_max")}
         got.update(site_counts=res.site_counts.tolist(), evaluated=res.work["evaluated"])
         assert got == survival_fields(run_trials(cfg), M, M + config["L"])
-        assert res.hist.sum() == trials and len(res.hist) <= M + 1
+        assert res.counts.sum() == trials and np.all(np.diff(res.sites) >= 0) and res.sites[-1] <= M
