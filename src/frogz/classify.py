@@ -26,7 +26,7 @@ from .sequences import INF, L0_L1, SequenceSpec, is_in_D1, m_of
 
 EDGE_TOL = 1e-9  # tolerance for detecting the exact exponent edge E_r == 1
 DEFAULT_N_CAP = 1000
-ALIGNMENT_WORK_MAX = 10**8  # modulus * L block positions of the series test: about 35 s
+ALIGNMENT_WORK_MAX = 10**8  # modulus * L block positions of the series test: about 20 s
 
 
 class Outcome(str, Enum):
@@ -51,8 +51,9 @@ class SeriesExponent(NamedTuple):
     like sum n^(-E) (log n)^(-F)."""
 
     residue: int
-    power_exp: float  # E_r
-    log_exp: int      # F_r
+    power_exp: float   # E_r
+    log_exp: int       # F_r
+    period_exp: float  # E_r over j <= k*floor(L/k), or over 1..L when that is empty or whole
 
     @property
     def diverges(self) -> bool:
@@ -129,11 +130,12 @@ def weakest_alignment(exps: tuple[SeriesExponent, ...]) -> SeriesExponent:
 
 
 def min_alignment_exponent(spec: SequenceSpec, N: int, L: int) -> tuple[SeriesExponent, ...]:
-    """Per-alignment exponents (E_r, F_r), one per residue r.
+    """Per-alignment exponents (E_r, F_r), one per residue r, in one pass over the block.
 
     E_r collects N * alpha * f(j) over power-law block positions, F_r collects
     N * f(j) over log-inverse positions; constant positions contribute only a
-    constant factor and drop out.
+    constant factor and drop out.  E_r as summed up to j = k*floor(L/k) is the
+    complete-period exponent, so series_test reads both its windows from here.
     """
     if spec.overrides:
         raise InvalidSpecError("alignment exponents are undefined with sparse overrides")
@@ -143,17 +145,22 @@ def min_alignment_exponent(spec: SequenceSpec, N: int, L: int) -> tuple[SeriesEx
         raise OutOfRangeError("N is too large for float series exponents") from exc
     check_alignment(spec, L)
     k = spec.modulus
+    # each class's coefficient once; a class of the other kind adds 0.0 (or 0)
+    power = [N * form.alpha if form.kind == "power" else 0.0 for form in spec.residue_forms]
+    loginv = [N if form.kind == "loginv" else 0 for form in spec.residue_forms]
+    period = k * (L // k) or L
     out = []
     for r in range(k):
-        e = 0.0
+        e = period_e = 0.0
         g = 0
         for j in range(1, L + 1):
-            form = spec.residue_forms[(r + j) % k]
-            if form.kind == "power":
-                e += N * form.alpha * f(j)
-            elif form.kind == "loginv":
-                g += N * f(j)
-        out.append(SeriesExponent(residue=r, power_exp=e, log_exp=g))
+            c = (r + j) % k
+            fj = f(j)
+            e += power[c] * fj
+            g += loginv[c] * fj
+            if j == period:
+                period_e = e
+        out.append(SeriesExponent(residue=r, power_exp=e, log_exp=g, period_exp=period_e))
     return tuple(out)
 
 
@@ -163,26 +170,19 @@ def series_test(spec: SequenceSpec, N: int, L: int) -> tuple[Outcome, tuple[Seri
     The sandwich bounds pin sum a_n to sum prod_j q_{n+j}^(N f(j)) up to the
     constant 2^(NL), which reduces per alignment to sum n^(-E) (log n)^(-F).
 
-    Two divergence sources are combined:
+    Two divergence sources, read from one min_alignment_exponent pass:
       - the full-range exponents diverge (E < 1, or E = 1 with F <= 1);
       - the exponent restricted to complete periods of the modulus
         (j <= k*floor(L/k)) falls strictly below 1.  This window convention
         is the contract for periodic specs when the lifetime is not a
-        multiple of the modulus.
+        multiple of the modulus (an empty or whole window adds nothing).
     The refinement is calibrated for the regime where no structural rule
     applies (L0 <= L < L1 and m > b), which is the only place classify()
     consults it.
     """
     exps = min_alignment_exponent(spec, N, L)
-    if any(e.diverges for e in exps):
-        return Outcome.DIES_AS, exps
-    k = spec.modulus
-    trunc_L = k * (L // k)
-    if k >= 2 and trunc_L >= 1 and trunc_L < L:
-        trunc_exps = min_alignment_exponent(spec, N, trunc_L)
-        if any(e.power_exp < 1.0 - EDGE_TOL for e in trunc_exps):
-            return Outcome.DIES_AS, exps
-    return Outcome.SURVIVES_WPP, exps
+    dies = any(e.diverges or e.period_exp < 1.0 - EDGE_TOL for e in exps)
+    return (Outcome.DIES_AS if dies else Outcome.SURVIVES_WPP), exps
 
 
 def survival_threshold_N(spec: SequenceSpec, L: int):

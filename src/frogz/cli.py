@@ -1,8 +1,8 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
 Configs are JSON, outputs are CSV/JSONL; only `main` reads --config and writes
---out and --store.  Exit codes: 0 success, 1 malformed config, a file that
-cannot be opened or a closed stdout, 2 invalid spec or guard refusal, 4
+--out, --store and --profile.  Exit codes: 0 success, 1 malformed config, a file
+that cannot be opened or a closed stdout, 2 invalid spec or guard refusal, 4
 verification violation.
 """
 
@@ -52,6 +52,8 @@ def _config_grid(cfg: dict, key: str, default: list, kind) -> list:
     grid = cfg.get(key, default)
     if not isinstance(grid, list):
         raise MalformedConfigError(f"config key {key!r} must be a list, got {grid!r}")
+    if not grid:
+        raise OutOfRangeError(f"need a nonempty {key}")
     return [config_number(key, value, kind) for value in grid]
 
 
@@ -68,12 +70,13 @@ def _csv(fh, header: list, rows):
     return fh
 
 
-def cmd_classify(config: dict, args) -> tuple[str, dict, int]:
+# each cmd_* returns (stdout text, store record fields, exit code, --profile data or None)
+def cmd_classify(config: dict, args) -> tuple[str, dict, int, None]:
     verdict = classify(_params_from_config(config)).to_dict()
-    return json.dumps(verdict, sort_keys=True) + "\n", {"result": verdict}, EXIT_OK
+    return json.dumps(verdict, sort_keys=True) + "\n", {"result": verdict}, EXIT_OK, None
 
 
-def cmd_exact(config: dict, args) -> tuple[str, dict, int]:
+def cmd_exact(config: dict, args) -> tuple[str, dict, int, None]:
     spec = SequenceSpec.from_dict(config["spec"])
     N, L = _config_num(config, "N"), _config_num(config, "L")
     n_max = _config_num(config, "n_max", 50)
@@ -81,20 +84,19 @@ def cmd_exact(config: dict, args) -> tuple[str, dict, int]:
     text = _csv(io.StringIO(), ["n", "a_n", "lower", "upper", "partial_product"], (
         [row.n, repr(row.a_n), repr(row.lower), repr(row.upper), repr(row.partial_product)]
         for row in rows)).getvalue()
-    return text, {"result": {"rows": len(rows)}}, EXIT_OK
+    return text, {"result": {"rows": len(rows)}}, EXIT_OK, None
 
 
-def _write_profile(profile: ActivationProfile, path: str) -> None:
+def _write_profile(profile: ActivationProfile, fh) -> None:
     columns = (profile.sites, profile.p_hat, profile.ci_half, profile.lower_curve)
     step = 2 ** 14                      # rows turned into Python numbers at a time
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _csv(fh, ["site", "p_hat_Ei", "ci_half", "lower_bound_curve"], (
-            [i, repr(p), repr(h), "" if math.isnan(lb) else repr(lb)]
-            for k in range(0, len(profile.sites), step)
-            for i, p, h, lb in zip(*(column[k:k + step].tolist() for column in columns))))
+    _csv(fh, ["site", "p_hat_Ei", "ci_half", "lower_bound_curve"], (
+        [i, repr(p), repr(h), "" if math.isnan(lb) else repr(lb)]
+        for k in range(0, len(profile.sites), step)
+        for i, p, h, lb in zip(*(column[k:k + step].tolist() for column in columns))))
 
 
-def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
+def cmd_simulate(config: dict, args) -> tuple[str, dict, int, ActivationProfile | None]:
     params = _params_from_config(config)
     # a flag, when given, overrides its config key; the keys are read in this order
     flags = {key: getattr(args, key) for key in ("horizon", "trials", "seed")}
@@ -106,11 +108,10 @@ def cmd_simulate(config: dict, args) -> tuple[str, dict, int]:
     if args.profile:
         check_profile(cfg)
     result = estimate_survival(cfg)
-    if args.profile:
-        _write_profile(activation_profile(result), args.profile)
+    profile = activation_profile(result) if args.profile else None
     summary = result.aggregate_dict()
     return (json.dumps(summary, sort_keys=True) + "\n",
-            {**summary, "seed": cfg.seed, "work": result.work}, EXIT_OK)
+            {**summary, "seed": cfg.seed, "work": result.work}, EXIT_OK, profile)
 
 
 def _parse_range(text: str) -> range:
@@ -136,7 +137,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
+def cmd_sweep(config: dict, args) -> tuple[str, dict, int, None]:
     spec = SequenceSpec.from_dict(config["spec"])
     if not spec.overrides:
         check_sweep(spec, args.n_range, args.l_range)
@@ -156,10 +157,11 @@ def cmd_sweep(config: dict, args) -> tuple[str, dict, int]:
                 num(verdict.L0), num(verdict.L1), min_e, min_f,
             ])
     header = ["N", "L", "outcome", "m", "b", "L0", "L1", "min_E", "min_F"]
-    return _csv(io.StringIO(), header, rows).getvalue(), {"result": {"rows": len(rows)}}, EXIT_OK
+    text = _csv(io.StringIO(), header, rows).getvalue()
+    return text, {"result": {"rows": len(rows)}}, EXIT_OK, None
 
 
-def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
+def cmd_verify(config: dict, args) -> tuple[str, dict, int, None]:
     l_max = _config_num(config, "l_max", 8)
     if l_max < 1:
         raise OutOfRangeError(f"need l_max >= 1, got {l_max}")
@@ -201,7 +203,7 @@ def cmd_verify(config: dict, args) -> tuple[str, dict, int]:
     if failures:
         sys.stderr.write(f"{len(failures)} violations, first: {failures[0]}\n")
     return (json.dumps(report, sort_keys=True) + "\n", {"result": report},
-            EXIT_VIOLATION if failures else EXIT_OK)
+            EXIT_VIOLATION if failures else EXIT_OK, None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,6 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_outputs(files: contextlib.ExitStack, store, *paths) -> list:
+    """--store for appending and each other path for writing (None stays None), all or
+    none: when one cannot be opened, the files made are removed and none has changed."""
+    made = [p for p in (store, *paths) if p and not os.path.lexists(p)]
+    try:
+        handles = [p and files.enter_context(open(p, "a", encoding="utf-8", newline=""))
+                   for p in (store, *paths)]
+    except OSError:
+        files.close()
+        for p in made:
+            if os.path.lexists(p):
+                os.remove(p)
+        raise
+    for fh in handles[1:]:
+        if fh and os.path.isfile(fh.name):  # as mode "w" would; a device or pipe stays as is
+            fh.truncate(0)
+    return handles
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -251,11 +272,12 @@ def main(argv=None) -> int:
             if not isinstance(config, dict):
                 raise MalformedConfigError(
                     f"config must be a JSON object, got {type(config).__name__}")
-        text, fields, code = args.fn(config, args)
+        text, fields, code, profile = args.fn(config, args)
         with contextlib.ExitStack() as files:
-            # both files open before either is written: one that cannot be opened leaves neither
-            store = args.store and files.enter_context(open(args.store, "a", encoding="utf-8"))
-            out = args.out and files.enter_context(open(args.out, "w", encoding="utf-8"))
+            store, out, prof = _open_outputs(files, args.store, args.out,
+                                             getattr(args, "profile", None))
+            if prof:
+                _write_profile(profile, prof)
             sink = out or sys.stdout
             sink.write(text)
             sink.flush()  # a closed stdout fails here, before the record is written

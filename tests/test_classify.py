@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,10 @@ from frogz.classify import (
     weakest_alignment,
 )
 from frogz.errors import InvalidSpecError, OutOfRangeError, TooLargeError
+from frogz.exact import f
 from frogz.sequences import (
     INF,
+    ConstantForm,
     LogInverse,
     PowerLaw,
     SequenceSpec,
@@ -29,6 +32,38 @@ from frogz.sequences import (
 
 def outcome(spec, N, L):
     return classify(ProcessParams(N=N, L=L, spec=spec)).outcome
+
+
+GOLDEN_SPECS = json.loads(
+    (Path(__file__).parent / "data" / "verdicts_golden.json").read_text())["specs"]
+
+
+@st.composite
+def _periodic_specs(draw):
+    """A spec of up to 7 residue classes, each a power law, log-inverse or constant."""
+    forms = draw(st.lists(st.one_of(
+        st.builds(PowerLaw, c=st.sampled_from([1.0, 0.5]), offset=st.just(1),
+                  alpha=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 1.0, 1.7]),
+                                  st.floats(0.05, 3.0))),
+        st.just(LogInverse(c=1, offset=2)),
+        st.just(ConstantForm(q=0.5)),
+    ), min_size=1, max_size=7))
+    return SequenceSpec(modulus=len(forms), residue_forms=tuple(forms))
+
+
+def _exponents_by_dispatch(spec, N, L):
+    """(r, E_r, F_r) as the per-position dispatch on each class's kind sums them."""
+    out = []
+    for r in range(spec.modulus):
+        e, g = 0.0, 0
+        for j in range(1, L + 1):
+            form = spec.residue_forms[(r + j) % spec.modulus]
+            if form.kind == "power":
+                e += N * form.alpha * f(j)
+            elif form.kind == "loginv":
+                g += N * f(j)
+        out.append((r, e, g))
+    return out
 
 
 class TestStructuralRules:
@@ -94,11 +129,11 @@ class TestSeriesTest:
         assert weakest_alignment(exps).diverges
 
     def test_edge_divergence_convention(self):
-        assert SeriesExponent(0, 1.0, 1).diverges
-        assert SeriesExponent(0, 1.0, 2).diverges is False
-        assert SeriesExponent(0, 0.999, 99).diverges
-        assert SeriesExponent(0, 1.001, 0).diverges is False
-        assert SeriesExponent(0, 1.0 + 1e-12, 1).diverges  # inside tolerance
+        assert SeriesExponent(0, 1.0, 1, 1.0).diverges
+        assert SeriesExponent(0, 1.0, 2, 1.0).diverges is False
+        assert SeriesExponent(0, 0.999, 99, 0.999).diverges
+        assert SeriesExponent(0, 1.001, 0, 1.001).diverges is False
+        assert SeriesExponent(0, 1.0 + 1e-12, 1, 1.0 + 1e-12).diverges  # inside tolerance
 
     def test_overrides_unsupported(self, dyadic_spec):
         with pytest.raises(InvalidSpecError):
@@ -124,6 +159,42 @@ class TestSeriesTest:
             min_alignment_exponent(mod2_spec, 1, 8)
         with pytest.raises(TooLargeError):
             series_test(mod2_spec, 1, 8)
+
+    @pytest.mark.parametrize("N, L", [(1, 7), (1, 8), (2, 5), (3, 5)])
+    def test_both_windows_from_one_pass(self, monkeypatch, N, L):
+        # golden cells decided by the complete-period window alone: the window
+        # used to be a second min_alignment_exponent call over k*floor(L/k)
+        import frogz.classify as classify_mod
+        spec = SequenceSpec.from_dict(GOLDEN_SPECS["mod3_alpha0.3"])
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return min_alignment_exponent(*args)
+
+        monkeypatch.setattr(classify_mod, "min_alignment_exponent", counting)
+        got, exps = series_test(spec, N, L)
+        assert got is Outcome.DIES_AS and len(calls) == 1
+        assert not any(e.diverges for e in exps)
+        assert any(e.period_exp < 1.0 for e in exps)
+
+    @given(spec=_periodic_specs(), N=st.sampled_from([1, 2, 3, 5, 8, 10**20, 2**53 + 1]),
+           L=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_period_exponent_is_the_complete_period_sum(self, spec, N, L):
+        exps = min_alignment_exponent(spec, N, L)
+        periods = spec.modulus * (L // spec.modulus)
+        want = min_alignment_exponent(spec, N, periods) if 1 <= periods < L else exps
+        assert [e.period_exp.hex() for e in exps] == [w.power_exp.hex() for w in want]
+
+    @given(spec=_periodic_specs(), N=st.sampled_from([1, 2, 3, 5, 8, 10**20, 2**53 + 1]),
+           L=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_exponents_bit_identical_to_the_dispatch_loop(self, spec, N, L):
+        exps = min_alignment_exponent(spec, N, L)
+        got = [(e.residue, e.power_exp.hex(), e.log_exp) for e in exps]
+        want = [(r, e.hex(), g) for r, e, g in _exponents_by_dispatch(spec, N, L)]
+        assert got == want
 
     def test_mod3_threshold_N(self):
         spec = mod3_spec(0.2)

@@ -214,13 +214,23 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("flag", ["--config", "--out", "--store"])
     def test_directory_is_a_file_error(self, config_file, tmp_path, capsys, flag):
-        # a directory where a file is named: used to end in an IsADirectoryError traceback
+        # a directory where a file is named: used to end in an IsADirectoryError traceback;
+        # a new --store used to be left behind, empty, when --out could not be opened
+        files = {"--out": tmp_path / "verdict.json", "--store": tmp_path / "runs.jsonl"}
         args = {"--config": config_file({"N": 1, "L": 1, "spec": MOD2_SPEC}),
-                "--out": str(tmp_path / "verdict.json"), flag: str(tmp_path)}
-        assert main(["classify", *[x for pair in args.items() for x in pair]]) == EXIT_BAD_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"cannot open {tmp_path}: ") and "Traceback" not in err
-        assert not (tmp_path / "verdict.json").exists()
+                **{key: str(path) for key, path in files.items()}, flag: str(tmp_path)}
+        argv = ["classify", *[x for pair in args.items() for x in pair]]
+        for existing in (False, True):
+            if existing:
+                for path in files.values():
+                    path.write_bytes(b"kept\n")
+            assert main(argv) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot open {tmp_path}: ") and "Traceback" not in err
+            for key, path in files.items():
+                if key != flag:
+                    # an existing file is left byte for byte as it was
+                    assert path.read_bytes() == b"kept\n" if existing else not path.exists()
 
     def test_schema_error_is_config_error(self, config_file):
         cfg = config_file({"N": 1, "L": 1, "spec": {"modulus": 0, "residues": []}})
@@ -306,10 +316,18 @@ class TestErrorExits:
          "invalid input: p_right must be in (0,1), got 1.0"),
         ({"q_grid": [0.5, 1e-20], "N_grid": [1, 0]}, EXIT_INVALID_SPEC,
          "invalid input: need N >= 1, got 0"),
-        ({"q_grid": [], "N_grid": [0]}, EXIT_OK, ""),
+        # an empty grid is refused, as l_max < 1 is: it used to report success,
+        # so the N = 0 that no check reached went unreported
+        ({"q_grid": [], "N_grid": [0]}, EXIT_INVALID_SPEC,
+         "invalid input: need a nonempty q_grid"),
+        ({"p_grid": []}, EXIT_INVALID_SPEC, "invalid input: need a nonempty p_grid"),
+        ({"N_grid": []}, EXIT_INVALID_SPEC, "invalid input: need a nonempty N_grid"),
+        ({"p_grid": [], "q_grid": [], "N_grid": []}, EXIT_INVALID_SPEC,
+         "invalid input: need a nonempty p_grid"),
     ], ids=["string_N", "scalar_p_grid", "string_q", "fractional_N", "null_N", "nested_q",
             "object_q_grid", "zero_N", "p_above_one", "p_rounds_to_one", "q_above_one",
-            "walk_before_N", "N_before_walk", "N_unused"])
+            "walk_before_N", "N_before_walk", "N_unused", "empty_p_grid", "empty_N_grid",
+            "every_grid_empty"])
     def test_verify_grids(self, config_file, capsys, grids, code, message):
         # entries convert like scalar keys: a string is parsed as "N": "a" is,
         # and 1.5 is rejected as "N": 1.5 is
@@ -516,7 +534,8 @@ class TestSimulateCommand:
             params=cli_mod._params_from_config(payload),
             horizon=40, trials=300, seed=3)
         ref = tmp_path / "reference.csv"
-        cli_mod._write_profile(mc_mod.estimate_activation_profile(sim), str(ref))
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            cli_mod._write_profile(mc_mod.estimate_activation_profile(sim), fh)
         assert prof.read_bytes() == ref.read_bytes()
 
     def test_profile_guard_refuses_before_the_mc(self, config_file, tmp_path, capsys,
@@ -610,6 +629,15 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"cannot open {prof}: No such file")
         assert not out.exists() and not store.exists()
 
+    def test_out_into_missing_directory_writes_no_profile(self, config_file, tmp_path, capsys):
+        # the profile used to be written before --out failed to open
+        out, prof = tmp_path / "missing" / "sim.jsonl", tmp_path / "profile.csv"
+        rc = main(["simulate", "--config", config_file(_sim()), "--out", str(out),
+                   "--profile", str(prof)])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith(f"cannot open {out}: No such file")
+        assert not prof.exists()
+
     def test_profile_csv(self, config_file, tmp_path):
         cfg = config_file({"N": 1, "L": 1, "spec": {
             "modulus": 1,
@@ -656,7 +684,8 @@ class TestSimulateCommand:
             prod *= 1.0 - exact_oracle.a_n(sim.params.spec, sim.params.N, L, n)
             profile.lower_curve[n + L] = profile.p_hat[L] * prod
         ref = tmp_path / "reference.csv"
-        cli_mod._write_profile(profile, str(ref))
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            cli_mod._write_profile(profile, fh)
         assert prof.read_bytes() == ref.read_bytes()
 
     def test_profile_when_2_to_the_NL_overflows(self, config_file, tmp_path):
@@ -825,7 +854,7 @@ class TestVerifyCommand:
     def test_sandwich_grid_evaluates_each_cell_once(self, config_file, monkeypatch, q_grid):
         # per (N, L), one grid of L rows (displacements) by one column per q:
         # its len(q_grid) * L walks are evaluated once, in one first-passage call,
-        # after the reach checks' one (empty, as p_grid is) table per L
+        # after the reach checks' one table per L (one column, for p = 0.5)
         import frogz.exact as exact_mod
         sums, calls = exact_mod._first_passage, []
 
@@ -834,9 +863,9 @@ class TestVerifyCommand:
             return sums(term, pq)
 
         monkeypatch.setattr(exact_mod, "_first_passage", counting)
-        cfg = config_file({"l_max": 4, "p_grid": [], "q_grid": q_grid, "N_grid": [1, 2, 3]})
+        cfg = config_file({"l_max": 4, "p_grid": [0.5], "q_grid": q_grid, "N_grid": [1, 2, 3]})
         assert main(["verify", "--config", cfg, "--out", "/dev/null"]) == EXIT_OK
-        want = [[[]] * L for L in range(1, 5)]
+        want = [[[0.25]] * L for L in range(1, 5)]
         want += [[[(1 - q) * q for q in q_grid]] * L for N in (1, 2, 3) for L in range(1, 5)]
         assert calls == want
 
@@ -852,7 +881,7 @@ class TestVerifyCommand:
             return reach
 
         monkeypatch.setattr(exact_mod, "_first_passage", too_likely)
-        cfg = config_file({"l_max": 3, "p_grid": [], "q_grid": [0.7, 0.1, 0.3, 0.9],
+        cfg = config_file({"l_max": 3, "p_grid": [0.5], "q_grid": [0.7, 0.1, 0.3, 0.9],
                            "N_grid": [1, 2]})
         out = tmp_path / "verify.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION
@@ -864,7 +893,8 @@ class TestVerifyCommand:
                     want.append(["bound", q, N, L, f"sandwich violated: {rep}"])
         report = json.loads(out.read_text())
         assert report["failures"] == want
-        assert report["checked"] == 2 * 2 * (1 + 2 + 3)  # q = 0.1 and q = 0.9 pass
+        # the reach checks of p = 0.5, then the bound checks of q = 0.1 and q = 0.9 pass
+        assert report["checked"] == (1 + 2 + 3) + 2 * 2 * (1 + 2 + 3)
         assert capsys.readouterr().err.startswith(f"12 violations, first: {tuple(want[0])}")
 
     def test_oracle_guard_refused(self, config_file, tmp_path, capsys):
@@ -888,7 +918,7 @@ class TestVerifyCommand:
         import frogz.cli as cli_mod
         # verify reads every reach of one L from one batched first-passage table
         monkeypatch.setattr(cli_mod, "_reach_sums", lambda q, L: np.zeros((L, q.size)))
-        cfg = config_file({"l_max": 2, "p_grid": [0.5], "q_grid": [], "N_grid": []})
+        cfg = config_file({"l_max": 2, "p_grid": [0.5], "q_grid": [0.5], "N_grid": [1]})
         out = tmp_path / "verify.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION
         assert json.loads(out.read_text())["failures"]
