@@ -1,8 +1,8 @@
 """Command-line entry point: classify, exact, simulate, sweep, verify.
 
 Configs are JSON, outputs are CSV/JSONL; only `main` reads --config and writes
---out, --store and --profile.  Exit codes: 0 success, 1 malformed config, a file
-that cannot be opened or a closed stdout, 2 invalid spec or guard refusal, 4
+--out, --store and --profile.  Exit codes: 0 success, 1 malformed config or an
+output that cannot be opened or written, 2 invalid spec or guard refusal, 4
 verification violation.
 """
 
@@ -236,26 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_outputs(files: contextlib.ExitStack, store, *paths) -> list:
-    """--store for appending and each other path for writing (None stays None), all or
-    none: when one cannot be opened, the files made are removed and none has changed."""
-    made = [p for p in (store, *paths) if p and not os.path.lexists(p)]
-    try:
-        handles = [p and files.enter_context(open(p, "a", encoding="utf-8", newline=""))
-                   for p in (store, *paths)]
-    except OSError:
-        files.close()
-        for p in made:
-            if os.path.lexists(p):
-                os.remove(p)
-        raise
-    for fh in handles[1:]:
-        if fh and os.path.isfile(fh.name):  # as mode "w" would; a device or pipe stays as is
-            fh.truncate(0)
-    return handles
-
-
 def main(argv=None) -> int:
+    target, made = "stdout", []  # the output being written, and the files this run made
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -273,20 +255,33 @@ def main(argv=None) -> int:
                 raise MalformedConfigError(
                     f"config must be a JSON object, got {type(config).__name__}")
         text, fields, code, profile = args.fn(config, args)
+        paths = (args.store, args.out, getattr(args, "profile", None))
+        made = [p for p in paths if p and not os.path.lexists(p)]
         with contextlib.ExitStack() as files:
-            store, out, prof = _open_outputs(files, args.store, args.out,
-                                             getattr(args, "profile", None))
-            if prof:
-                _write_profile(profile, prof)
-            sink = out or sys.stdout
-            sink.write(text)
-            sink.flush()  # a closed stdout fails here, before the record is written
-            if store:
+            # every output is opened before any is written
+            store, out, prof = [p and files.enter_context(open(p, "a", encoding="utf-8",
+                                                               newline="")) for p in paths]
+            if not out:  # stdout first: a failure there finds every file as it was
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            for fh in (out, prof):
+                if fh:
+                    target = fh.name
+                    if os.path.isfile(fh.name):  # as mode "w" would; a device or pipe stays
+                        fh.truncate(0)
+                    if fh is prof:
+                        _write_profile(profile, fh)
+                    else:
+                        fh.write(text)
+                    fh.flush()
+            if store:  # last, so an output that fails writes no record
                 from datetime import datetime, timezone
+                target = store.name
                 record = {"timestamp": datetime.now(timezone.utc).isoformat(),
                           "subcommand": args.command, "config": config, "version": __version__,
                           **fields}
                 store.write(json.dumps(record, sort_keys=True) + "\n")
+                store.flush()
         return code
     except KeyError as exc:
         sys.stderr.write(f"bad config: missing config key {exc}\n")
@@ -294,11 +289,12 @@ def main(argv=None) -> int:
     except MalformedConfigError as exc:
         sys.stderr.write(f"bad config: {exc}\n")
         return EXIT_BAD_CONFIG
-    except BrokenPipeError as exc:
-        sys.stderr.write(f"cannot write stdout: {exc.strerror}\n")
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
-        sys.stderr.write(f"cannot open {exc.filename}: {exc.strerror}\n")
+    except OSError as exc:  # an open or a write failed: remove what this run made
+        for p in made:
+            if os.path.lexists(p):
+                os.remove(p)
+        where = f"open {exc.filename}" if exc.filename else f"write {target}"
+        sys.stderr.write(f"cannot {where}: {exc.strerror}\n")
         return EXIT_BAD_CONFIG
     except TooLargeError as exc:
         sys.stderr.write(f"refused: {exc}\n")
@@ -316,9 +312,9 @@ def entry() -> None:
     code = main()
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        # main reported the closed stdout; what it left buffered goes nowhere,
-        # so the flush at exit does not fail again
+    except OSError:
+        # main reported the closed or full stdout; what it left buffered goes
+        # nowhere, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

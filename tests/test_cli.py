@@ -1202,7 +1202,7 @@ class TestEntry:
                           stdout=closed, PYTHONUNBUFFERED=unbuffered)
         assert (run.returncode, run.stderr) == (EXIT_BAD_CONFIG,
                                                 "cannot write stdout: Broken pipe\n")
-        assert store.read_text() == ""  # opened before the write, but no record
+        assert not store.exists()  # opened before the write, and removed with no record
 
     @pytest.mark.parametrize("unbuffered, child, expected", [
         ("", ["-m", "frogz.cli"], _CLOSED_STDOUT),
@@ -1218,3 +1218,48 @@ class TestEntry:
         with os.fdopen(write, "wb") as closed:
             run = _python(*child, flag, stdout=closed, PYTHONUNBUFFERED=unbuffered)
         assert (run.returncode, run.stderr) == expected
+
+
+# -- one output rule: any open or write that fails removes the files the run made --------
+
+_OUTPUTS = {"--out": "sim.jsonl", "--profile": "profile.csv", "--store": "runs.jsonl"}
+
+
+class TestOutputFailure:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_stdout(self, unbuffered, config_file, tmp_path):
+        # used to print `cannot open None: No space left on device`, to leave a new
+        # --store behind and to write the --profile before stdout failed
+        files = {flag: tmp_path / _OUTPUTS[flag] for flag in ("--profile", "--store")}
+        argv = ["-m", "frogz.cli", "simulate", "--config", config_file(_sim()),
+                *[x for flag, path in files.items() for x in (flag, str(path))]]
+        for existing in (False, True):
+            if existing:
+                for path in files.values():
+                    path.write_bytes(b"kept\n")
+            with open("/dev/full", "wb") as full:
+                run = _python(*argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+            assert (run.returncode, run.stderr) == (
+                EXIT_BAD_CONFIG, "cannot write stdout: No space left on device\n")
+            for path in files.values():
+                # stdout is written first: an existing file is left byte for byte as it was
+                assert path.read_bytes() == b"kept\n" if existing else not path.exists()
+
+    def test_full_stdout_argparse_output(self):
+        # --version under an argparse that lets its failed print raise
+        with open("/dev/full", "wb") as full:
+            run = _python("-c", _RAISING_ARGPARSE, "--version", stdout=full)
+        assert (run.returncode, run.stderr) == (
+            EXIT_BAD_CONFIG, "cannot write stdout: No space left on device\n")
+
+    @pytest.mark.parametrize("flag", list(_OUTPUTS))
+    def test_full_file(self, flag, config_file, tmp_path, capsys):
+        # used to print `cannot open None: No space left on device` and to leave
+        # the other new files behind
+        files = {key: tmp_path / name for key, name in _OUTPUTS.items()}
+        argv = ["simulate", "--config", config_file(_sim()),
+                *[x for key, path in files.items()
+                  for x in (key, "/dev/full" if key == flag else str(path))]]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "cannot write /dev/full: No space left on device\n"
+        assert not any(path.exists() for path in files.values())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from frogz.classify import ProcessParams, applicable_rules, classify
+from frogz.classify import ProcessParams, applicable_rules, classify, min_alignment_exponent
 from frogz.sequences import SequenceSpec
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verdicts_golden.json").read_text())
@@ -34,3 +34,20 @@ def test_verdicts_match_golden(name):
         assert json.loads(json.dumps(classify(params).to_dict())) == cell["verdict"], where
         fired = [(rule, o.value) for rule, o in applicable_rules(params).items()]
         assert fired == list(cell["applicable_rules"].items()), where
+
+
+def test_r7_window_is_the_only_disagreement_with_the_full_range_criterion():
+    # the full-range criterion: DiesAS iff some alignment's E_r series diverges.
+    # R7's complete-period window overrules it on exactly these four cells
+    # (ROADMAP item 9); any other rule or refactor that disagrees fails here
+    disagree = set()
+    for cell in GOLDEN["cells"]:
+        spec = SPECS[cell["spec"]]
+        if spec.overrides:
+            continue
+        exps = min_alignment_exponent(spec, cell["N"], cell["L"])
+        full_dies = any(e.diverges for e in exps)
+        if full_dies != (cell["verdict"]["outcome"] == "DiesAS"):
+            disagree.add((cell["spec"], cell["N"], cell["L"]))
+    assert disagree == {("mod3_alpha0.3", 1, 7), ("mod3_alpha0.3", 1, 8),
+                        ("mod3_alpha0.3", 2, 5), ("mod3_alpha0.3", 3, 5)}
