@@ -10,7 +10,8 @@ import csv
 import json
 import sys
 
-from frogz.classify import ProcessParams, classify
+from frogz.classify import ProcessParams, check_sweep, classify
+from frogz.errors import TooLargeError
 from frogz.sequences import SequenceSpec
 
 
@@ -25,9 +26,16 @@ def main() -> int:
     with open(args.config, encoding="utf-8") as fh:
         spec = SequenceSpec.from_dict(json.load(fh)["spec"])
 
+    n_range, l_range = range(1, args.n_max + 1), range(1, args.l_max + 1)
+    if not spec.overrides:              # the guard of `frogz sweep`
+        try:
+            check_sweep(spec, n_range, l_range)
+        except TooLargeError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 2
     verdicts = {}
-    for N in range(1, args.n_max + 1):
-        for L in range(1, args.l_max + 1):
+    for N in n_range:
+        for L in l_range:
             verdicts[N, L] = classify(ProcessParams(N=N, L=L, spec=spec))
 
     if args.out:
@@ -41,9 +49,8 @@ def main() -> int:
     glyph = {"DiesAS": ".", "SurvivesWPP": "#", "SurvivesForLargeN": "+"}
     print(f"rows N=1..{args.n_max}, cols L=1..{args.l_max}"
           "  (. dies, # survives wpp, + survives for large N)")
-    for N in range(1, args.n_max + 1):
-        row = "".join(glyph[verdicts[N, L].outcome.value]
-                      for L in range(1, args.l_max + 1))
+    for N in n_range:
+        row = "".join(glyph[verdicts[N, L].outcome.value] for L in l_range)
         print(f"N={N:2d}  {row}")
     return 0
 

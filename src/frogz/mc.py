@@ -30,7 +30,7 @@ thresholds are nondecreasing in d and nonincreasing in N and in L.
 
 The scan walks the S = M + L tracked sites in blocks that double in width
 from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
-63, 127, 191, ... (_block_end).  Trials are split into ceil(trials / 2**14)
+63, 127, 191, ... and at S.  Trials are split into ceil(trials / 2**14)
 equal ranges, scanned one after another in the calling thread: a second
 thread does not pay, since every numpy call hands the GIL between them.
 Each block is scanned in slices of at most 3 * 2**14 trial-sites: a row of
@@ -56,9 +56,8 @@ O(log S + S*L/_CHUNK_ELEMENTS) calls.  Only a run of several ranges keeps its
 stretches, shared by its ranges, which rescan the same sites; the work guard
 holds those under 2 MiB.  A run keeps one count per distinct frontier,
 capped at M (at most one per trial, whatever the horizon), and every number
-it reports reads these counts; the work it records as evaluated is, summed
-over trials, the end of the block holding the frontier (at most S): the
-hashed trial-sites.
+it reports reads these counts.  The scan counts the trial-sites it hashes,
+its live trials times the width of each block, as the work evaluated.
 `simulate --profile` derives the activation profile from the same run
 (activation_profile), so one command is one MC pass.
 """
@@ -235,34 +234,23 @@ def _thresholds(prob: np.ndarray) -> np.ndarray:
     return np.ceil(np.clip(prob, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
 
 
-def _block_end(site, S: int):
-    """Last site of the scan block holding `site` (an int or an int64 array).
-
-    Blocks double in width from 1 site up to _BLOCK and then keep _BLOCK, so
-    they end at 2**k - 1 up to 2 * _BLOCK - 1 and then at every site that is
-    -1 mod _BLOCK; the last block ends at S.
-    """
-    site = np.asarray(site, dtype=np.int64)
-    _, bits = np.frexp(site)            # the bit length of each positive site
-    return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
-
-
 def _frontiers(values, N: int, L: int, S: int, seed: int, trial_lo: int, trial_hi: int,
-               shared: dict | None = None) -> np.ndarray:
+               work: dict, shared: dict | None = None) -> np.ndarray:
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
     values(a, b) gives the left-step probabilities of sites a..b-1, as
-    SequenceSpec.values does.  Sites are scanned in the blocks of _block_end,
-    each in slices of at most _CHUNK_ELEMENTS trial-sites: a row of every live
-    trial (a range has at most _RANGE_TRIALS) by as many of the block's sites
-    as fill the slice.  Since R_i <= L, site k is the frontier when R_k = 0
-    and no site among the L - 1 before it reaches past it, the earlier
-    slices' furthest reach being carried per trial; a trial leaves the scan
-    at the end of the block where its frontier is found.  The thresholds are
-    evaluated in stretches, one at a time: a stretch starts at the block that
-    passes the last one and doubles with the blocks up to width sites,
-    _CHUNK_ELEMENTS // L in whole blocks and at least one, so stretches end on
-    block ends and no site is evaluated twice.
+    SequenceSpec.values does.  Sites are scanned in blocks of 1, 2, 4, ...,
+    _BLOCK, _BLOCK, ... sites, each in slices of at most _CHUNK_ELEMENTS
+    trial-sites: a row of every live trial (a range has at most _RANGE_TRIALS)
+    by as many of the block's sites as fill the slice.  Since R_i <= L, site k
+    is the frontier when R_k = 0 and no site among the L - 1 before it reaches
+    past it, the earlier slices' furthest reach being carried per trial; a
+    trial leaves the scan at the end of the block where its frontier is found.
+    The thresholds are evaluated in stretches, one at a time: a stretch starts
+    at the block that passes the last one and doubles with the blocks up to
+    width sites, _CHUNK_ELEMENTS // L in whole blocks and at least one, so
+    stretches end on block ends and no site is evaluated twice.  Each block
+    adds the trial-sites it hashes to work["evaluated"].
     `shared`, given only in a run of several ranges, keeps each stretch by its
     first site for the ranges that rescan it.
     """
@@ -282,7 +270,8 @@ def _frontiers(values, N: int, L: int, S: int, seed: int, trial_lo: int, trial_h
     words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     mem = scratch.view(np.uint8)
     while len(live):
-        hi = min(2 * lo + 1, lo + _BLOCK, S)   # _block_end(lo + 1, S) in Python ints
+        hi = min(2 * lo + 1, lo + _BLOCK, S)   # the block holds sites lo+1..hi
+        work["evaluated"] += len(live) * (hi - lo)
         if hi > end:                    # the next stretch starts at this block
             start, end = lo, min(2 * lo + 1, lo + width, S)
             stretch = shared.get(start) if shared is not None else None
@@ -344,9 +333,13 @@ def _check_budget(cfg: SimConfig) -> int:
     return S
 
 
-def run_trials(cfg: SimConfig) -> np.ndarray:
-    """Frontier sites for all trials; deterministic in (config, seed) only."""
+def run_trials(cfg: SimConfig, work: dict | None = None) -> np.ndarray:
+    """Frontier sites for all trials; deterministic in (config, seed) only.
+
+    `work`, when given, gets the budgeted (trials * S) and evaluated trial-sites."""
     S = _check_budget(cfg)
+    work = {} if work is None else work
+    work.update(budgeted=cfg.trials * S, evaluated=0)
     count = -(-cfg.trials // _RANGE_TRIALS)     # equal ranges of at most _RANGE_TRIALS
     bounds = [k * cfg.trials // count for k in range(count + 1)]
     # ranges rescan the same sites; the work guard keeps S * L, and so the
@@ -354,7 +347,7 @@ def run_trials(cfg: SimConfig) -> np.ndarray:
     shared = {} if count > 1 else None
     params = cfg.params
     return np.concatenate([_frontiers(params.spec.values, params.N, params.L, S, cfg.seed,
-                                      lo, hi, shared)
+                                      lo, hi, work, shared)
                            for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
@@ -364,16 +357,15 @@ def simulate_trial(params: ProcessParams, M: int, trial: int, seed: int):
     if not 0 <= trial < 2 ** 64:
         raise OutOfRangeError(f"trial must be in [0, 2**64), got {trial}")
     S = M + params.L
-    h = int(_frontiers(params.spec.values, params.N, params.L, S, seed, trial, trial + 1)[0])
+    h = int(_frontiers(params.spec.values, params.N, params.L, S, seed, trial, trial + 1,
+                       {"evaluated": 0})[0])
     return min(h, M), frozenset(range(1, h + 1))
 
 
 def estimate_survival(cfg: SimConfig) -> SimResult:
     """Survival-to-horizon estimate with a Wilson interval; per-site counts on demand."""
-    M, S = cfg.horizon, cfg.horizon + cfg.params.L
-    sites, counts = np.unique(run_trials(cfg), return_counts=True)   # trials per frontier
-    # a trial hashes the sites up to the end of the block holding its frontier
-    work = {"budgeted": cfg.trials * S, "evaluated": int(_block_end(sites, S) @ counts)}
+    M, work = cfg.horizon, {}
+    sites, counts = np.unique(run_trials(cfg, work), return_counts=True)   # trials per frontier
     survived = int(counts[sites >= M].sum())
     lo, hi = map(float, wilson_interval(survived, cfg.trials, cfg.ci_level))
     return SimResult(config=cfg, sites=np.minimum(sites, M), counts=counts, survival_count=survived,

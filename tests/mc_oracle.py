@@ -20,6 +20,11 @@ e_i >= 1.
 
 `survival_fields` computes what a run reports from one frontier per trial;
 `frogz.mc.estimate_survival`, which reads its counts per distinct frontier, must match it.
+
+`_block_end` is the scan's block schedule in closed form: the end of the block
+holding a site, from the site's bit length.  `frogz.mc._frontiers` walks the
+blocks one by one and counts the trial-sites it hashes, which must sum to the
+block end of each trial's frontier.
 """
 
 import math
@@ -29,7 +34,19 @@ from statistics import NormalDist
 import numpy as np
 
 from frogz.exact import _path_counts
-from frogz.mc import _K1, _K2, _block_end, _miss_probs, _mix
+from frogz.mc import _BLOCK, _K1, _K2, _miss_probs, _mix
+
+
+def _block_end(site, S: int):
+    """Last site of the scan block holding `site` (an int or an int64 array).
+
+    Blocks double in width from 1 site up to _BLOCK and then keep _BLOCK, so
+    they end at 2**k - 1 up to 2 * _BLOCK - 1 and then at every site that is
+    -1 mod _BLOCK; the last block ends at S.
+    """
+    site = np.asarray(site, dtype=np.int64)
+    _, bits = np.frexp(site)            # the bit length of each positive site
+    return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
 
 
 def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,

@@ -978,6 +978,28 @@ class TestStore:
             "ci_level", "horizon", "params", "seed", "trials"]
         assert records["classify"]["config"] == json.loads(Path(cfg).read_text())
 
+    def test_record_config(self, config_file, tmp_path, capsys):
+        # every record but simulate's holds the config file's object; a
+        # simulate record holds the run configuration that stdout prints,
+        # with the flags applied
+        payload = {"N": 1, "L": 2, "spec": MOD2_SPEC, "horizon": 30, "trials": 10, "seed": 3}
+        cfg = config_file(payload)
+        store = tmp_path / "runs.jsonl"
+        assert main(["classify", "--config", cfg, "--out", "/dev/null",
+                     "--store", str(store)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--seed", "7", "--trials", "20",
+                     "--horizon", "40", "--store", str(store)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        classified, simulated = map(json.loads, store.read_text().splitlines())
+        assert classified["config"] == payload
+        assert simulated["config"] == printed["config"]
+        spec = SequenceSpec.from_dict(MOD2_SPEC).to_dict()
+        assert simulated["config"] == {"params": {"N": 1, "L": 2, "spec": spec},
+                                       "horizon": 40, "trials": 20, "seed": 7, "ci_level": 0.95}
+        assert simulated["seed"] == 7
+        assert simulated["work"]["budgeted"] == 20 * 42
+
     def test_simulate_records_work(self, config_file, tmp_path):
         # q = 0.95 everywhere: most frontiers are site 1.  A trial counts the
         # sites it hashed, up to the end of its frontier's scan block
@@ -1122,11 +1144,11 @@ class TestAnyConfig:
 _SQRT = str(Path(__file__).resolve().parent.parent / "configs" / "sqrt_decay.json")
 
 
-def _python(*argv, stdout=subprocess.PIPE, **env):
+def _python(*argv, stdout=subprocess.PIPE, timeout=None, **env):
     """Run `python argv...` in a child process that imports this frogz."""
     env = dict(os.environ, PYTHONPATH=str(Path(frogz.__file__).parent.parent), **env)
     return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env)
+                          text=True, env=env, timeout=timeout)
 
 
 _CLOSED_STDOUT = (EXIT_BAD_CONFIG, "cannot write stdout: Broken pipe\n")
@@ -1263,3 +1285,23 @@ class TestOutputFailure:
         assert main(argv) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == "cannot write /dev/full: No space left on device\n"
         assert not any(path.exists() for path in files.values())
+
+
+# -- the experiment scripts ---------------------------------------------------------------
+
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_phase_diagram_refuses_what_sweep_refuses(config_file):
+    # the modulus-2 spec of the guard-limit classify: 10 x 10^4 series tests sum
+    # to 1.0001e9 block positions, which `frogz sweep` refuses at once
+    spec = {"modulus": 2, "residues": [
+        {"r": 0, "form": {"kind": "power", "c": 0.5, "alpha": 1e-20, "offset": 1}},
+        {"r": 1, "form": {"kind": "power", "c": 0.4, "alpha": 1e-20, "offset": 1}}]}
+    cfg = config_file({"N": 1, "L": 2, "spec": spec})
+    run = _python(str(_SCRIPTS / "phase_diagram.py"), cfg, "--n-max", "10", "--l-max", "10000",
+                  timeout=20)
+    assert run.returncode == EXIT_INVALID_SPEC
+    assert run.stdout == ""
+    assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1
+    assert "= 1000100000 exceeds 100000000" in run.stderr

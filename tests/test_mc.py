@@ -16,7 +16,6 @@ from frogz.exact import a_n_array, partial_survival_product
 from frogz.mc import (
     _BLOCK,
     SimConfig,
-    _block_end,
     _fold,
     _frontiers,
     _miss_probs,
@@ -31,6 +30,7 @@ from frogz.mc import (
 )
 from frogz.sequences import ConstantForm, SequenceSpec, single
 from mc_oracle import (
+    _block_end,
     activation_law,
     miss_law,
     survival_fields,
@@ -177,7 +177,8 @@ class TestDeterminism:
 
 def _array_frontiers(qs, N, L, seed, trial_lo, trial_hi):
     """_frontiers over the len(qs) sites whose left-step probabilities are qs."""
-    return _frontiers(lambda a, b: qs[a - 1:b - 1], N, L, len(qs), seed, trial_lo, trial_hi)
+    return _frontiers(lambda a, b: qs[a - 1:b - 1], N, L, len(qs), seed, trial_lo, trial_hi,
+                      {"evaluated": 0})
 
 
 # the last site of each of the first scan blocks: they double in width up to
@@ -672,3 +673,28 @@ class TestFrontierHistogram:
         got.update(site_counts=res.site_counts.tolist(), evaluated=res.work["evaluated"])
         assert got == survival_fields(run_trials(cfg), M, M + config["L"])
         assert res.counts.sum() == trials and np.all(np.diff(res.sites) >= 0) and res.sites[-1] <= M
+
+
+class TestWorkCount:
+    # the scan counts the trial-sites it hashes, block by block; from the
+    # frontiers alone, the oracle's closed form of the block schedule gives
+    # the same total, each trial's frontier block end (the configs' own sizes
+    # are checked the same way by TestFrontierHistogram)
+    @pytest.mark.parametrize("range_trials", [None, 7])
+    @pytest.mark.parametrize("name, L, M, trials", [
+        *[(name, L, 2 * L + 200, 40) for name in sorted(p.stem for p in _CONFIGS.glob("*.json"))
+          for L in (1, 2, 3, 63, 64, 65, 255, 256, 300)],
+        # two trials die at site 1 and two scan all M + 1 sites
+        ("inv_square", 1, 10**5, 4),
+    ])
+    def test_evaluated_is_the_frontier_block_ends(self, name, L, M, trials, range_trials,
+                                                  monkeypatch):
+        # at 7 trials per range, 6 ranges rescan the same sites and share stretches
+        import frogz.mc as mc_mod
+        if range_trials:
+            monkeypatch.setattr(mc_mod, "_RANGE_TRIALS", range_trials)
+        N = json.loads((_CONFIGS / f"{name}.json").read_text())["N"]
+        cfg = make_cfg(_config_spec(name), N=N, L=L, horizon=M, trials=trials, seed=1)
+        frontiers = mc_mod.run_trials(cfg)
+        want = {"budgeted": trials * (M + L), "evaluated": int(_block_end(frontiers, M + L).sum())}
+        assert estimate_survival(cfg).work == want
