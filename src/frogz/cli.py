@@ -206,8 +206,17 @@ def cmd_verify(config: dict, args) -> tuple[str, dict, int, None]:
             EXIT_VIOLATION if failures else EXIT_OK, None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose own output is flushed at once and whose failed write raises."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frogz",
         description="finite-lifetime random-walk system analysis and simulation",
     )
@@ -239,11 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     target, made = "stdout", []  # the output being written, and the files this run made
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit:  # argparse printed --version, --help or a usage error
-            sys.stdout.flush()  # a closed stdout fails here and is reported below
-            raise
+        args = build_parser().parse_args(argv)
         config = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -28,36 +28,37 @@ of terms that do not depend on L, followed by a running minimum over d, and
 the N-th power is formed by repeated multiplication by a factor <= 1, so the
 thresholds are nondecreasing in d and nonincreasing in N and in L.
 
-The scan walks the S = M + L tracked sites in blocks that double in width
-from 1 site up to 64 and then keep 64, so they end at sites 1, 3, 7, 15, 31,
-63, 127, 191, ... and at S.  Trials are split into ceil(trials / 2**14)
-equal ranges, scanned one after another in the calling thread: a second
-thread does not pay, since every numpy call hands the GIL between them.
-Each block is scanned in slices of at most 3 * 2**14 trial-sites: a row of
-all of a range's live trials, the inner axis, by as many of the block's
-sites as fill the slice, so a site's key and thresholds broadcast over long
-contiguous rows and the scan makes few, long numpy calls.  Since R_i <= L,
-site k is the frontier exactly when R_k = 0, no site among the L - 1 before
-it reaches past it, and no earlier slice does either: R is counted in uint8
-(uint16 for L >= 256), the in-slice test is L - 1 shifted comparisons of R,
-and each trial carries the furthest site its earlier slices reach.  A trial leaves the scan at the end
-of the block where its frontier is found, so a trial that dies at site 1
-costs one hashed site.  Because every draw is a pure hash, this early exit
-returns exactly the frontiers of a full scan.  A slice is hashed whole into
-two reused uint64 arrays, the hashes and _mix_folded's scratch, and once the
-hashes are mixed the scratch bytes hold the stuck mask, a comparison mask
-and the reach counts: the scan holds 16 bytes per slice element (768 KiB),
-plus 2 per element of a slice's last L - 1 rows, whatever the horizon or the
-trial count.  Thresholds are evaluated in stretches, one at a time: a
-stretch starts at a block and doubles with the blocks up to _CHUNK_ELEMENTS
-// L sites in whole blocks (at least one), so each site is evaluated once:
-about L^2/4 first-passage terms and at most N*L multiplications per site, in
-O(log S + S*L/_CHUNK_ELEMENTS) calls.  Only a run of several ranges keeps its
-stretches, shared by its ranges, which rescan the same sites; the work guard
-holds those under 2 MiB.  A run keeps one count per distinct frontier,
-capped at M (at most one per trial, whatever the horizon), and every number
-it reports reads these counts.  The scan counts the trial-sites it hashes,
-its live trials times the width of each block, as the work evaluated.
+The scan walks the S = M + L tracked sites in blocks, each one numpy slice of
+at most 3 * 2**14 trial-sites (64 per trial in a smaller run): a row of all
+of a range's live trials, the inner axis, by as many sites as fill the
+slice, so a site's key and thresholds broadcast over long contiguous rows.
+Blocks never cross a threshold stretch, and stretches double in width from
+1 site, so the first blocks hold 1, 2, 4, ... sites and a trial that dies at
+site 1 costs one hashed site; as trials die, the blocks widen.  Trials are
+split into ceil(trials / 2**14) equal ranges, scanned one after another in
+the calling thread: a second thread does not pay, since every numpy call
+hands the GIL between them.  Since R_i <= L, site k is the frontier exactly
+when R_k = 0, no site among the L - 1 before it reaches past it, and no
+earlier block does either: R is counted in uint8 (uint16 for L >= 256), the
+in-block test is L - 1 shifted comparisons of R, and each trial carries the
+furthest site its earlier blocks reach.  A trial leaves the scan at the end
+of the block where its frontier is found.  Because every draw is a pure
+hash, this early exit returns exactly the frontiers of a full scan.  A block
+is hashed whole into two reused uint64 arrays, the hashes and _mix_folded's
+scratch, and once the hashes are mixed the scratch bytes hold the stuck
+mask, a comparison mask and the reach counts: the scan holds 16 bytes per
+slice element (768 KiB), plus 2 per element of a block's last L - 1 rows,
+whatever the horizon or the trial count.  Thresholds are evaluated in
+stretches, one at a time, that double up to _CHUNK_ELEMENTS // L sites in
+whole multiples of 64 (at least 64), so each site is evaluated once: about
+L^2/4 first-passage terms and at most N*L multiplications per site, in
+O(log S + S*L/_CHUNK_ELEMENTS) calls.  Only a run of several ranges keeps
+its stretches, shared by its ranges, which rescan the same sites; the work
+guard holds those under 2 MiB.  A run keeps one count per distinct
+frontier, capped at M (at most one per trial, whatever the horizon), and
+every number it reports reads these counts.  The scan counts the
+trial-sites it hashes, its live trials times the width of each block, as
+the work evaluated.
 `simulate --profile` derives the activation profile from the same run
 (activation_profile), so one command is one MC pass.
 """
@@ -75,7 +76,7 @@ from .errors import OutOfRangeError, TooLargeError
 from .exact import _reach_sums
 
 DEFAULT_WORK_BUDGET = 4_000_000_000  # (M+L) * L * max(trials, N, L)
-_BLOCK = 64                   # a power of 2: the widest scan block, in sites
+_BLOCK = 64                   # a slice's trial-sites per trial of a small run; the stretch unit
 _CHUNK_ELEMENTS = 3 * 2 ** 14  # trial-sites per scan slice; about L * sites per threshold stretch
 _RANGE_TRIALS = 2 ** 14       # the most trials one range scans: <= _CHUNK_ELEMENTS, one slice row
 
@@ -239,18 +240,15 @@ def _frontiers(values, N: int, L: int, S: int, seed: int, trial_lo: int, trial_h
     """Frontier site h (max activated site in [1, S]) for each trial in the range.
 
     values(a, b) gives the left-step probabilities of sites a..b-1, as
-    SequenceSpec.values does.  Sites are scanned in blocks of 1, 2, 4, ...,
-    _BLOCK, _BLOCK, ... sites, each in slices of at most _CHUNK_ELEMENTS
-    trial-sites: a row of every live trial (a range has at most _RANGE_TRIALS)
-    by as many of the block's sites as fill the slice.  Since R_i <= L, site k
-    is the frontier when R_k = 0 and no site among the L - 1 before it reaches
-    past it, the earlier slices' furthest reach being carried per trial; a
-    trial leaves the scan at the end of the block where its frontier is found.
-    The thresholds are evaluated in stretches, one at a time: a stretch starts
-    at the block that passes the last one and doubles with the blocks up to
-    width sites, _CHUNK_ELEMENTS // L in whole blocks and at least one, so
-    stretches end on block ends and no site is evaluated twice.  Each block
-    adds the trial-sites it hashes to work["evaluated"].
+    SequenceSpec.values does.  Each block is one slice of `size` trial-sites,
+    min(_CHUNK_ELEMENTS, _BLOCK * trials): every live trial by the next
+    size // live sites of the current threshold stretch.  Since R_i <= L,
+    site k is the frontier when R_k = 0 and no site among the L - 1 before it
+    reaches past it, the earlier blocks' furthest reach being carried per
+    trial; a trial leaves the scan at the end of the block where its frontier
+    is found.  Stretches double from 1 site up to width sites (_CHUNK_ELEMENTS
+    // L in whole multiples of _BLOCK, at least _BLOCK) and end at S.  Each
+    block adds the trial-sites it hashes to work["evaluated"].
     `shared`, given only in a run of several ranges, keeps each stretch by its
     first site for the ranges that rescan it.
     """
@@ -265,55 +263,50 @@ def _frontiers(values, N: int, L: int, S: int, seed: int, trial_lo: int, trial_h
     width = max(1, _CHUNK_ELEMENTS // L // _BLOCK) * _BLOCK   # the widest stretch, in sites
     start = end = 0                     # the stretch holds sites start+1..end
     size = min(_CHUNK_ELEMENTS, _BLOCK * len(h1))
-    # a slice's hashes and _mix_folded's scratch; once the hashes are mixed,
+    if size < len(h1):                  # a block would hold no site
+        raise ValueError(f"a slice of {size} trial-sites cannot hold {len(h1)} trials")
+    # a block's hashes and _mix_folded's scratch; once the hashes are mixed,
     # the scratch bytes hold the stuck mask, a comparison mask and the counts
     words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     mem = scratch.view(np.uint8)
     while len(live):
-        hi = min(2 * lo + 1, lo + _BLOCK, S)   # the block holds sites lo+1..hi
-        work["evaluated"] += len(live) * (hi - lo)
-        if hi > end:                    # the next stretch starts at this block
+        if lo == end:                   # the next stretch starts here
             start, end = lo, min(2 * lo + 1, lo + width, S)
             stretch = shared.get(start) if shared is not None else None
             if stretch is None:
                 stretch = _thresholds(_miss_probs(values(start + 1, end + 1), N, L))
                 if shared is not None:
                     shared[start] = stretch
+        w = len(live)                   # the block: every live trial by b sites
+        hi = min(lo + size // w, end)   # the block holds sites lo+1..hi
+        b = hi - lo
+        k = b * w
+        work["evaluated"] += k
+        first = lo + 1                  # the block's first site
         table = stretch[:, lo - start:hi - start, None]
-        keys = _fold(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _K2)[:, None]   # (sites, 1)
-        found = np.zeros(len(live), dtype=bool)
-        w = len(live)                   # trials per slice: every live one
-        n = size // w                   # sites per slice
-        for r in range(0, hi - lo, n):
-            rs = slice(r, min(r + n, hi - lo))  # the slice's rows of the block
-            b = rs.stop - r
-            k = b * w
-            first = lo + r + 1          # the slice's first site
-            u = np.bitwise_xor(keys[rs], h1, out=words[:k].reshape(b, w))
-            _mix_folded(u, scratch[:k].reshape(b, w))
-            np.right_shift(u, _SHIFT, out=u)
-            stuck = np.less(u, table[0, rs], out=mem[:k].view(np.bool_).reshape(b, w))
-            if L > 1:                   # R_i = #{d : u >= T_d}; stuck holds R_i == 0
-                mask = mem[k:2 * k].view(np.bool_).reshape(b, w)
-                reach = mem[2 * k:(2 + count.itemsize) * k].view(count).reshape(b, w)
-                np.logical_not(stuck, out=reach)
-                for row in table[1:, rs]:
-                    reach += np.greater_equal(u, row, out=mask)
-                for m in range(1, min(L, b)):
-                    stuck[m:] &= np.less_equal(reach[:-m], m, out=mask[m:])
-                tail = min(L - 1, b)    # the last sites, which may reach past the slice
-                idx = np.arange(first, first + tail, dtype=np.int64)[:, None]
-                stuck[:tail] &= np.greater_equal(idx, carry, out=mask[:tail])
-                far = reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]
-                np.maximum(carry, far.max(axis=0) + np.int64(first), out=carry)
-            if lo + rs.stop == S:       # every trial leaves by the last site
-                stuck[-1] = True
-            new = stuck.any(axis=0)
-            np.greater(new, found, out=new)        # not found in an earlier slice
-            if new.any():
-                frontier[live[new]] = first + np.argmax(stuck[:, new], axis=0)
-                found |= new
+        keys = _fold(np.arange(first, hi + 1, dtype=np.uint64) * _K2)[:, None]   # (b, 1)
+        u = np.bitwise_xor(keys, h1, out=words[:k].reshape(b, w))
+        _mix_folded(u, scratch[:k].reshape(b, w))
+        np.right_shift(u, _SHIFT, out=u)
+        stuck = np.less(u, table[0], out=mem[:k].view(np.bool_).reshape(b, w))
+        if L > 1:                       # R_i = #{d : u >= T_d}; stuck holds R_i == 0
+            mask = mem[k:2 * k].view(np.bool_).reshape(b, w)
+            reach = mem[2 * k:(2 + count.itemsize) * k].view(count).reshape(b, w)
+            np.logical_not(stuck, out=reach)
+            for row in table[1:]:
+                reach += np.greater_equal(u, row, out=mask)
+            for m in range(1, min(L, b)):
+                stuck[m:] &= np.less_equal(reach[:-m], m, out=mask[m:])
+            tail = min(L - 1, b)        # the last sites, which may reach past the block
+            idx = np.arange(first, first + tail, dtype=np.int64)[:, None]
+            stuck[:tail] &= np.greater_equal(idx, carry, out=mask[:tail])
+            far = (reach[b - tail:] + np.arange(b - tail, b, dtype=np.uint16)[:, None]).max(axis=0)
+            np.maximum(carry, far + np.int64(first), out=carry)
+        if hi == S:                     # every trial leaves by the last site
+            stuck[-1] = True
+        found = stuck.any(axis=0)
         if found.any():
+            frontier[live[found]] = first + np.argmax(stuck[:, found], axis=0)
             keep = np.logical_not(found, out=found)
             live = live[keep]
             h1 = h1[keep]

@@ -21,32 +21,51 @@ e_i >= 1.
 `survival_fields` computes what a run reports from one frontier per trial;
 `frogz.mc.estimate_survival`, which reads its counts per distinct frontier, must match it.
 
-`_block_end` is the scan's block schedule in closed form: the end of the block
-holding a site, from the site's bit length.  `frogz.mc._frontiers` walks the
-blocks one by one and counts the trial-sites it hashes, which must sum to the
-block end of each trial's frontier.
+`scan_blocks` is the scan's block schedule, walked in Python ints from the
+frontiers alone: the ranges of `frogz.mc.run_trials`, and in each the
+threshold stretches and the blocks of size // live sites.  `frogz.mc._frontiers`
+counts the trial-sites it hashes, which must sum to the walk's live x width.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
 from frogz.exact import _path_counts
-from frogz.mc import _BLOCK, _K1, _K2, _miss_probs, _mix
+import frogz.mc as mc
+from frogz.mc import _K1, _K2, _miss_probs, _mix
 
 
-def _block_end(site, S: int):
-    """Last site of the scan block holding `site` (an int or an int64 array).
+def scan_blocks(frontiers, L: int, S: int):
+    """Yield (lo, hi, live, end) for each block `frogz.mc.run_trials` scans to
+    find these frontiers, one per trial, with S = M + L tracked sites.
 
-    Blocks double in width from 1 site up to _BLOCK and then keep _BLOCK, so
-    they end at 2**k - 1 up to 2 * _BLOCK - 1 and then at every site that is
-    -1 mod _BLOCK; the last block ends at S.
+    The block holds sites lo+1..hi of the stretch that ends at `end`, and
+    `live` trials of its range, those whose frontier lies past lo.  The
+    constants are read from frogz.mc when called, so patched values apply.
     """
-    site = np.asarray(site, dtype=np.int64)
-    _, bits = np.frexp(site)            # the bit length of each positive site
-    return np.minimum(np.minimum((np.int64(1) << bits) - 1, site | (_BLOCK - 1)), S)
+    frontiers = [int(h) for h in frontiers]
+    count = -(-len(frontiers) // mc._RANGE_TRIALS)
+    bounds = [k * len(frontiers) // count for k in range(count + 1)]
+    width = max(1, mc._CHUNK_ELEMENTS // L // mc._BLOCK) * mc._BLOCK
+    for a, b in zip(bounds, bounds[1:]):
+        ranged = sorted(frontiers[a:b])
+        size = min(mc._CHUNK_ELEMENTS, mc._BLOCK * len(ranged))
+        lo = end = 0
+        while live := len(ranged) - bisect_right(ranged, lo):
+            if lo == end:
+                end = min(2 * lo + 1, lo + width, S)
+            hi = min(lo + size // live, end)
+            yield lo, hi, live, end
+            lo = hi
+
+
+def evaluated(frontiers, L: int, S: int) -> int:
+    """The trial-sites `frogz.mc.run_trials` hashes to find these frontiers."""
+    return sum(live * (hi - lo) for lo, hi, live, _ in scan_blocks(frontiers, L, S))
 
 
 def unblocked_frontiers(q: np.ndarray, N: int, L: int, seed: int,
@@ -128,8 +147,8 @@ def survival_fields(frontiers: np.ndarray, M: int, S: int) -> dict:
 
     These are the per-trial formulas the frontier counts replace: the
     frontiers capped at M give the mean, the max and the per-site counts
-    (E_i holds iff the frontier reached at least i), and each trial hashes the
-    sites up to the end of the scan block holding its frontier.
+    (E_i holds iff the frontier reached at least i), and the scan's blocks
+    give the trial-sites hashed.
     """
     capped = np.minimum(frontiers, M)
     hist = np.bincount(capped, minlength=M + 1)
@@ -138,5 +157,5 @@ def survival_fields(frontiers: np.ndarray, M: int, S: int) -> dict:
         "max_site_mean": float(np.mean(capped)),
         "max_site_max": int(np.max(capped)),
         "site_counts": np.cumsum(hist[::-1])[::-1][1:].tolist(),
-        "evaluated": int(_block_end(frontiers, S).sum()),
+        "evaluated": evaluated(frontiers, S - M, S),
     }

@@ -30,9 +30,10 @@ from frogz.mc import (
 )
 from frogz.sequences import ConstantForm, SequenceSpec, single
 from mc_oracle import (
-    _block_end,
     activation_law,
+    evaluated,
     miss_law,
+    scan_blocks,
     survival_fields,
     unblocked_frontiers,
     wilson_interval as wilson_oracle,
@@ -181,22 +182,34 @@ def _array_frontiers(qs, N, L, seed, trial_lo, trial_hi):
                       {"evaluated": 0})
 
 
-# the last site of each of the first scan blocks: they double in width up to
-# _BLOCK sites and then keep it
+# the last site of each of the first scan blocks while a small run's trials
+# all stay live: they double in width with the stretches up to _BLOCK sites,
+# the slice's share per trial, and then keep it
 _BLOCK_ENDS = [1, 3, 7, 15, 31, 63, 127, 191]
 
 
 class TestBlockedScan:
-    def test_block_ends(self):
-        S = 300
-        ends, lo = [], 0
-        while lo < S:
-            lo = int(_block_end(lo + 1, S))
-            ends.append(lo)
-        assert ends == _BLOCK_ENDS + [255, 300]
-        sites = np.arange(1, S + 1)
-        want = [min(e for e in ends if e >= i) for i in sites.tolist()]
-        assert _block_end(sites, S).tolist() == want
+    def test_block_ends(self, sqrt_spec, monkeypatch):
+        assert [hi for _, hi, _, _ in scan_blocks([300], 1, 300)] == _BLOCK_ENDS + [255, 300]
+        # the scan hashes the walk's blocks, each one (sites, live trials)
+        # slice, in one range or in 3 of 50 trials; at a slice of 150
+        # trial-sites, 6 to 8 live trials take blocks that end inside a stretch
+        import frogz.mc as mc_mod
+        shapes = []
+
+        def recorded(z, tmp):
+            if z.ndim == 2:             # not a trial hash of _mix
+                shapes.append(z.shape)
+            return _mix_folded(z, tmp)
+        monkeypatch.setattr(mc_mod, "_mix_folded", recorded)
+        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
+        for chunk, range_trials in ((3 * 2**14, 2**14), (150, 2**14), (600, 50)):
+            monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
+            monkeypatch.setattr(mc_mod, "_RANGE_TRIALS", range_trials)
+            shapes.clear()
+            blocks = list(scan_blocks(mc_mod.run_trials(cfg), 3, 200))
+            assert shapes == [(hi - lo, live) for lo, hi, live, _ in blocks]
+            assert any(hi < end for _, hi, _, end in blocks) == (chunk == 150)
 
     @given(data=st.data(), N=st.integers(1, 4), L=st.integers(1, 4),
            seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 64))
@@ -239,11 +252,12 @@ class TestBlockedScan:
         assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
         assert np.all(got == want)
 
-    @pytest.mark.parametrize("chunk", [None, 3000])
+    @pytest.mark.parametrize("chunk", [None, 150, 300, 3000])
     @pytest.mark.parametrize("ranges", [1, 2, 3, 22])
     def test_workers_match_unblocked_oracle(self, sqrt_spec, ranges, chunk, monkeypatch):
-        # 3000 trial-sites per slice: a range of 150 trials takes several
-        # slices of the wider blocks.  The 150 trials make one range at the
+        # a slice of 150, 300 or 3000 trial-sites: the range's 150 trials
+        # take 1, 2 or 20 sites a block while all are live, and narrow blocks
+        # end inside the stretches.  The 150 trials make one range at the
         # default _RANGE_TRIALS, and 2, 3 or 22 at 75, 50 or 7
         import frogz.mc as mc_mod
         if ranges > 1:
@@ -252,9 +266,41 @@ class TestBlockedScan:
             monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", chunk)
         cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
         want = unblocked_frontiers(sqrt_spec.values(1, 201), 1, 3, 24, 0, 150)
-        # frontiers in every doubling block, a full one and the last one
-        assert set(_block_end(want, 200).tolist()) == {1, 3, 7, 15, 31, 63, 127, 200}
-        assert np.array_equal(mc_mod.run_trials(cfg), want)
+        # frontiers in every doubling stretch and the last one
+        blocks = list(scan_blocks(want, 3, 200))
+        assert {end for lo, hi, _, end in blocks for h in want.tolist() if lo < h <= hi} \
+            == {1, 3, 7, 15, 31, 63, 127, 200}
+        work = {}
+        assert np.array_equal(mc_mod.run_trials(cfg, work), want)
+        assert work == {"budgeted": 150 * 200, "evaluated": evaluated(want, 3, 200)}
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_reach_carried_into_a_widened_block(self, L):
+        # site 1 stops most of the 20 trials (q = 0.9); the rest step right on
+        # every site but the stalls, where they step left, and stop at the
+        # last L stalls in a row.  Once few trials are live, a block is a whole
+        # stretch, 128 or 256 sites, and only the reach of the site before
+        # carries the frontier over a stall on its first site
+        S, stalls = 8 * _BLOCK, [2 * _BLOCK, 3 * _BLOCK, 4 * _BLOCK, *range(300, 300 + L)]
+        qs = np.full(S, 1e-12)
+        qs[0] = 0.9
+        qs[np.array(stalls) - 1] = 1 - 1e-12
+        work = {"evaluated": 0}
+        got = _frontiers(lambda a, b: qs[a - 1:b - 1], 1, L, S, 5, 0, 20, work)
+        assert np.array_equal(got, unblocked_frontiers(qs, 1, L, 5, 0, 20))
+        assert set(got.tolist()) == {1, 300 + L - 1}
+        blocks = list(scan_blocks(got, L, S))
+        assert work["evaluated"] == evaluated(got, L, S)
+        assert {lo + 1 for lo, hi, _, _ in blocks if hi - lo > _BLOCK} >= {2 * _BLOCK, 4 * _BLOCK}
+
+    def test_chunk_below_a_range_refused(self, sqrt_spec, monkeypatch):
+        # a slice of fewer trial-sites than a range's trials would make blocks
+        # of no site, and the scan would never end
+        import frogz.mc as mc_mod
+        monkeypatch.setattr(mc_mod, "_CHUNK_ELEMENTS", 149)
+        cfg = make_cfg(sqrt_spec, N=1, L=3, horizon=197, trials=150, seed=24)
+        with pytest.raises(ValueError, match="cannot hold 150 trials"):
+            mc_mod.run_trials(cfg)
 
     @pytest.mark.parametrize("q0", [0.5, 1 / 3, 0.1, 1 - 2.0**-53, 2.0**-60])
     def test_integer_threshold_matches_float_test(self, q0):
@@ -565,8 +611,8 @@ class TestReachLaw:
 
     @pytest.mark.parametrize("chunk, L", [(400, 3), (30, 5)])
     def test_stretches_fit_the_chunk(self, chunk, L, monkeypatch):
-        # _CHUNK_ELEMENTS // L = 133 sites at L = 3, which whole blocks make
-        # 128: stretches of two blocks from site 255 on; at L = 5 one block
+        # _CHUNK_ELEMENTS // L = 133 sites at L = 3, which whole multiples of
+        # _BLOCK make 128: stretches of 128 sites from site 255 on; at L = 5, 64
         import frogz.mc as mc_mod
         sizes = []
 
@@ -580,8 +626,9 @@ class TestReachLaw:
         got = mc_mod.run_trials(cfg)
         assert max(sizes) <= max(_BLOCK, chunk // L)
         assert max(sizes) == max(_BLOCK, chunk // L // _BLOCK * _BLOCK)
-        # every site up to the furthest frontier's block is evaluated once
-        assert sum(sizes) == _block_end(got.max(), 1000 + L) > 1000 - 2 * max(sizes)
+        # every site up to the end of the furthest frontier's stretch is evaluated once
+        ends = [end for *_, end in scan_blocks(got, L, 1000 + L)]
+        assert sum(sizes) == max(ends) > 1000 - 2 * max(sizes)
         assert np.array_equal(got, unblocked_frontiers(spec.values(1, 1001 + L), 1, L, 3, 0, 20))
 
     def test_ranges_share_stretches(self, sqrt_spec, monkeypatch):
@@ -605,7 +652,7 @@ class TestReachLaw:
         assert np.array_equal(got[50], got[150])
 
     def test_thresholds_evaluated_per_piece(self, monkeypatch):
-        # one surviving trial scans all 38 blocks of S = 2002 sites; the
+        # one surviving trial scans all 37 blocks of S = 2002 sites; the
         # thresholds come in the 11 doubling pieces 2**k..2**(k+1) - 1, one
         # _miss_probs call each at L = 2, so the N-th power runs 11 times
         import frogz.mc as mc_mod
@@ -677,9 +724,9 @@ class TestFrontierHistogram:
 
 class TestWorkCount:
     # the scan counts the trial-sites it hashes, block by block; from the
-    # frontiers alone, the oracle's closed form of the block schedule gives
-    # the same total, each trial's frontier block end (the configs' own sizes
-    # are checked the same way by TestFrontierHistogram)
+    # frontiers alone, the oracle's walk of the block schedule gives the same
+    # total, live trials times width summed over the blocks (the configs' own
+    # sizes are checked the same way by TestFrontierHistogram)
     @pytest.mark.parametrize("range_trials", [None, 7])
     @pytest.mark.parametrize("name, L, M, trials", [
         *[(name, L, 2 * L + 200, 40) for name in sorted(p.stem for p in _CONFIGS.glob("*.json"))
@@ -696,5 +743,5 @@ class TestWorkCount:
         N = json.loads((_CONFIGS / f"{name}.json").read_text())["N"]
         cfg = make_cfg(_config_spec(name), N=N, L=L, horizon=M, trials=trials, seed=1)
         frontiers = mc_mod.run_trials(cfg)
-        want = {"budgeted": trials * (M + L), "evaluated": int(_block_end(frontiers, M + L).sum())}
+        want = {"budgeted": trials * (M + L), "evaluated": evaluated(frontiers, L, M + L)}
         assert estimate_survival(cfg).work == want
